@@ -1,10 +1,14 @@
 """Exact scalar arithmetic: rationals and prime fields.
 
-Scalars are plain Python values.  Over the rationals they are ``Fraction``
-instances (or ``gmpy2.mpq`` when available, which is faster but prints the
-same way); over a prime field they are ints kept canonical in ``[0, p)``.
-The field objects supply arithmetic, parsing of ``"a/b"`` strings, and the
-row kernels the elimination code runs hot.
+Scalars are plain Python values.  Over the rationals a scalar is an ``int``
+when its value is an integer and a ``Fraction`` otherwise; every shipped
+construction has integer structure constants, so elimination mostly runs
+on ints and pays for a gcd only where a pivot forces one.  Arithmetic may
+still yield an integral ``Fraction``, which compares, hashes and prints
+like the equal ``int``, so no code needs to tell the two apart.  Over a
+prime field scalars are ints kept canonical in ``[0, p)``.  The field
+objects supply arithmetic, parsing of ``"a/b"`` strings, and the row
+kernels the elimination code runs hot.
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-try:  # pragma: no cover - exercised implicitly, depends on environment
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
+
+def _read_literal(s) -> Fraction:
+    """The rational value of a scalar literal such as ``"-3"`` or ``"2/3"``."""
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational literal {s!r}", literal=str(s)) from exc
 
 
 def is_prime(p: int) -> bool:
@@ -35,23 +42,27 @@ def is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The field of rational numbers with exact arithmetic."""
+    """The field of rational numbers with exact arithmetic.
+
+    Integral values are ``int`` and the others ``Fraction``: ``zero``,
+    ``one``, ``from_int`` and ``parse`` of an integer literal give ints;
+    ``inv`` gives an int for +-1 and a ``Fraction`` otherwise.  Sums and
+    products of ints stay ints and run no gcd, so integer inputs are
+    eliminated at the cost of int arithmetic until a pivot other than +-1
+    introduces a denominator.
+    """
 
     kind = "Q"
     p = None
-
-    def __init__(self):
-        self.zero = _RAT(0)
-        self.one = _RAT(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n: int):
-        return _RAT(n)
+        return n
 
     def parse(self, s: str):
-        try:
-            return _RAT(Fraction(str(s)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {s!r}", literal=str(s)) from exc
+        x = _read_literal(s)
+        return x.numerator if x.denominator == 1 else x
 
     def fmt(self, x) -> str:
         return str(x)
@@ -71,7 +82,10 @@ class Rationals:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self.one / a
+        if a == 1 or a == -1:
+            return int(a)
+        # 1 / a would be a float for an int a
+        return 1 / Fraction(a)
 
     def dot(self, row: dict, vec: dict):
         """Sum of row[c] * vec[c] over shared keys."""
@@ -139,7 +153,7 @@ class PrimeField:
         return n % self.p
 
     def parse(self, s: str):
-        frac = Fraction(str(s))
+        frac = _read_literal(s)
         den = frac.denominator % self.p
         if den == 0:
             raise ValidationError(

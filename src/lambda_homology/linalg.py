@@ -398,20 +398,21 @@ def rref(field, rows: Sequence[dict], ncols: int, full: bool = True,
 
 
 def kernel_rows_from_rref(field, rref_rows: list[dict], pivots: tuple, ncols: int) -> list[dict]:
-    """Standard kernel basis read off a reduced echelon form."""
+    """Standard kernel basis read off a reduced echelon form.
+
+    One vector per free column f: 1 at f and minus row[f] at the pivot of
+    each echelon row, filled in by a single pass over the rows.
+    """
     pivset = set(pivots)
+    one = field.one
     neg = field.neg
-    out = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = {free: field.one}
-        for pcol, row in zip(pivots, rref_rows):
-            a = row.get(free)
-            if a is not None:
+    by_free = {c: {c: one} for c in range(ncols) if c not in pivset}
+    for pcol, row in zip(pivots, rref_rows):
+        for c, a in row.items():
+            vec = by_free.get(c)
+            if vec is not None:
                 vec[pcol] = neg(a)
-        out.append(vec)
-    return out
+    return list(by_free.values())
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +664,6 @@ def image(m: Matrix) -> Subspace:
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
     return u.intersect(v)
-
-
-def contains(u: Subspace, vec: dict) -> bool:
-    return u.contains(vec)
 
 
 def preimage_constraint(m: Matrix, target: Subspace) -> Subspace:

@@ -40,7 +40,6 @@ __all__ = [
     "trivial_system",
     "ThetaComplex",
     "compute_theta",
-    "homology",
     "validate_subcomplex",
     "LambdaMorphism",
     "check_lambda_morphism",
@@ -302,7 +301,6 @@ class ThetaComplex:
         self.system = system
         self.subspaces = subspaces
         self._image_rows_cache: dict[int, list[dict]] = {}
-        self._restricted_cache: dict = {}
 
     @property
     def max_degree(self) -> int:
@@ -329,27 +327,6 @@ class ThetaComplex:
             ]
             self._image_rows_cache[n] = cached
         return cached
-
-    def restricted_face(self, n: int, i: int) -> Matrix:
-        """The reference face in subcomplex coordinates (small systems)."""
-        key = (n, i)
-        m = self._restricted_cache.get(key)
-        if m is None:
-            m = restrict_map(
-                self.system.face_matrix(n, i),
-                self.subspaces[n],
-                self.subspaces[n - 1],
-            )
-            self._restricted_cache[key] = m
-        return m
-
-    def restricted_boundary(self, n: int) -> Matrix:
-        f = self.system.field
-        acc = Matrix.zeros(f, self.subspaces[n - 1].dim, self.subspaces[n].dim)
-        for i in range(n + 1):
-            term = self.restricted_face(n, i)
-            acc = acc.add(term) if i % 2 == 0 else acc.sub(term)
-        return acc
 
     def check_boundary_squares_to_zero(self) -> None:
         """Exact check that the boundary composes to zero, degree by degree."""
@@ -414,10 +391,6 @@ class ThetaComplex:
         if emit_bases:
             out["bases"] = [s.to_json() for s in self.subspaces]
         return out
-
-
-def homology(theta: ThetaComplex) -> dict:
-    return theta.homology()
 
 
 # ---------------------------------------------------------------------------

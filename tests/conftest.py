@@ -133,11 +133,7 @@ def dense_table_of(algebra):
 
 
 def dense_vec(vec: dict, n: int):
-    """Sparse package vector to a dense Fraction list.
-
-    Scalars may be gmpy2.mpq; only the string round-trip converts them to
-    stdlib Fractions without smuggling mpz internals into the result.
-    """
+    """Sparse package vector to a dense Fraction list."""
     return [Fraction(str(vec.get(i, 0))) for i in range(n)]
 
 

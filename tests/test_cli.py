@@ -158,6 +158,23 @@ def test_missing_spec_file_exits_1(specs):
     assert "nope.json" in body["message"]
 
 
+@pytest.mark.parametrize("literal", ["1/0", "abc"])
+def test_bad_prime_field_literal_exits_1(tmp_path, literal):
+    spec = tmp_path / "bad_literal.json"
+    spec.write_text(json.dumps({
+        "construction": "hochschild", "field": {"kind": "Fp", "p": 7},
+        "algebra": {"dim": 1, "unit": ["1"], "mult": [[0, 0, 0, literal]]},
+        "max_degree": 2,
+    }))
+    r = run_cli(["homology", str(spec)])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert body["details"]["literal"] == literal
+    assert repr(literal) in body["message"]
+
+
 def test_usage_error_exits_1():
     r = run_cli(["homology"])
     assert r.returncode == 1

@@ -29,6 +29,21 @@ def test_rationals_parse_and_fmt_round_trip():
     assert q.fmt(q.parse("10/4")) == "5/2"
 
 
+def test_rationals_keep_integral_values_as_int():
+    q = Rationals()
+    assert type(q.zero) is int and type(q.one) is int
+    assert type(q.from_int(-4)) is int
+    for s in ["0", "-3", "10/5", "-6/3"]:
+        assert type(q.parse(s)) is int
+    for s in ["2/3", "-7/5", "10/4"]:
+        assert type(q.parse(s)) is Fraction
+    for a in [1, -1, Fraction(1), Fraction(-1)]:
+        assert type(q.inv(a)) is int and q.inv(a) == a
+    for a in [2, -3, Fraction(2, 3), Fraction(4, 2)]:
+        x = q.inv(a)
+        assert type(x) is Fraction and x * a == 1
+
+
 def test_rationals_rejects_garbage():
     q = Rationals()
     with pytest.raises(ValidationError):
@@ -72,13 +87,17 @@ def test_field_json_round_trip():
 small_q = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
-@given(small_q, small_q)
+small_int = st.integers(-50, 50)
+
+
+@given(st.one_of(small_int, small_q), st.one_of(small_int, small_q))
 def test_rationals_field_laws(a, b):
     q = Rationals()
     assert q.add(a, b) == a + b
     assert q.mul(a, b) == a * b
     assert q.sub(a, b) == q.add(a, q.neg(b))
     if b != 0:
+        assert isinstance(q.inv(b), (int, Fraction))
         assert q.mul(b, q.inv(b)) == Fraction(1)
 
 

@@ -18,6 +18,7 @@ from lambda_homology.linalg import (
     rank,
     rank_and_kernel,
     restrict_map,
+    rref,
 )
 
 from oracles import (
@@ -33,7 +34,6 @@ F7 = PrimeField(7)
 
 
 def dense_of(m: Matrix):
-    # scalars may be gmpy2.mpq; the string round-trip is the safe bridge
     return [[Fraction(str(x)) for x in row] for row in m.to_dense()]
 
 
@@ -179,6 +179,23 @@ def test_kernel_matches_oracle(m):
     oracle_span = Subspace.from_vectors(
         Q, m.ncols, [vec_sparse(Q, v) for v in oracle])
     assert ker == oracle_span
+
+
+@given(q_matrix(max_dim=6), st.sampled_from([0.0, 1.0]))
+def test_int_and_fraction_entries_agree(m, threshold):
+    """An integer matrix gives the same results held as int or as Fraction.
+
+    A threshold of 0.0 sends ``rref`` to the dense engine, 1.0 to the
+    sparse one.
+    """
+    assert all(type(v) is int for row in m.rows for v in row.values())
+    as_frac = [{c: Fraction(v) for c, v in row.items()} for row in m.rows]
+    assert (rref(Q, m.rows, m.ncols, dense_threshold=threshold)
+            == rref(Q, as_frac, m.ncols, dense_threshold=threshold))
+    k_int = kernel_of_rows(Q, m.rows, m.ncols)
+    k_frac = kernel_of_rows(Q, as_frac, m.ncols)
+    assert k_int == k_frac
+    assert k_int.to_json() == k_frac.to_json()
 
 
 @given(q_vectors())
