@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ValidationError
+from .errors import ValidationError, spec_ints
 from .fields import field_from_json
 from .linalg import Matrix
 
@@ -177,7 +177,7 @@ class AlgebraMorphism:
         self.unital = self.apply(source.unit) == target.unit
 
     def apply(self, vec: dict) -> dict:
-        return self.matrix.matvec(vec)
+        return self.matrix.apply_to_vec(vec)
 
     def apply_basis(self, i: int) -> dict:
         return self.matrix.column(i)
@@ -367,7 +367,8 @@ def named_algebra(field, kind: str, **params) -> Algebra:
     if kind == "ground_field":
         return ground_field_algebra(field)
     if kind == "truncated_polynomial":
-        return truncated_polynomial_algebra(field, int(params.get("order", 2)))
+        return truncated_polynomial_algebra(
+            field, spec_ints(params.get("order", 2), "order"))
     if kind == "group_algebra":
         table = params.get("table")
         if table is None:
@@ -377,7 +378,7 @@ def named_algebra(field, kind: str, **params) -> Algebra:
         return upper_triangular_2x2(field)
     if kind == "matrix":
         inner = params.get("inner")
-        size = int(params.get("size", 2))
+        size = spec_ints(params.get("size", 2), "size")
         if inner is None:
             raise ValidationError("matrix algebra needs an 'inner' algebra spec")
         base = algebra_from_json(inner, field=field)
@@ -519,13 +520,12 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
         return named_algebra(field, obj["builtin"], **params)
     if field is None:
         field = field_from_json(obj.get("field", {"kind": "Q"}))
-    try:
-        dim = int(obj["dim"])
-    except KeyError as exc:
-        raise ValidationError("algebra spec needs 'dim'") from exc
+    if "dim" not in obj:
+        raise ValidationError("algebra spec needs 'dim'")
+    dim = spec_ints(obj["dim"], "dim")
     pairs = [[{} for _ in range(dim)] for _ in range(dim)]
     for quad in obj.get("mult", []):
-        i, j, k, lit = quad
+        i, j, k, lit = spec_ints(quad, "mult", 4)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValidationError("mult entry out of range", entry=quad)
         v = field.parse(lit)
@@ -569,21 +569,20 @@ def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
         if obj["builtin"] == "regular":
             return Bimodule.regular(over)
         raise ValidationError(f"unknown builtin bimodule {obj['builtin']!r}")
-    try:
-        dim = int(obj["dim"])
-    except KeyError as exc:
-        raise ValidationError("bimodule spec needs 'dim'") from exc
+    if "dim" not in obj:
+        raise ValidationError("bimodule spec needs 'dim'")
+    dim = spec_ints(obj["dim"], "dim")
     left = [[{} for _ in range(dim)] for _ in range(over.dim)]
     right = [[{} for _ in range(over.dim)] for _ in range(dim)]
     for quad in obj.get("left", []):
-        i, j, k, lit = quad
+        i, j, k, lit = spec_ints(quad, "left", 4)
         if not (0 <= i < over.dim and 0 <= j < dim and 0 <= k < dim):
             raise ValidationError("left action entry out of range", entry=quad)
         v = field.parse(lit)
         if v:
             left[i][j][k] = field.add(left[i][j].get(k, field.zero), v)
     for quad in obj.get("right", []):
-        j, i, k, lit = quad
+        j, i, k, lit = spec_ints(quad, "right", 4)
         if not (0 <= j < dim and 0 <= i < over.dim and 0 <= k < dim):
             raise ValidationError("right action entry out of range", entry=quad)
         v = field.parse(lit)
@@ -632,8 +631,8 @@ def morphism_from_json(obj: dict, source: Algebra, target: Algebra) -> AlgebraMo
     field = source.field
     entries = []
     for trip in obj.get("matrix", []):
-        r, c, lit = trip
-        entries.append((int(r), int(c), field.parse(lit)))
+        r, c, lit = spec_ints(trip, "morphism matrix", 3)
+        entries.append((r, c, field.parse(lit)))
     mat = Matrix.from_entries(field, target.dim, source.dim, entries)
     mor = AlgebraMorphism(source, target, mat, label=obj.get("label", ""))
     bad = mor.validate()

@@ -39,7 +39,7 @@ from .constructions import (
     witness_t_suite,
     witness_w_suite,
 )
-from .errors import LambdaHomologyError, ResourceCapError, ValidationError
+from .errors import LambdaHomologyError, ResourceCapError, ValidationError, spec_ints
 from .fields import field_from_json, parse_field_flag
 from .linalg import Matrix, Subspace
 from .simplicial import circle, simplicial_from_json, simplicial_to_json
@@ -85,7 +85,7 @@ def _load_simplicial(obj, base: Path, max_degree):
         levels = obj.get("max_level", max_degree)
         if levels is None:
             raise ValidationError("circle spec needs 'max_level' or --max-degree")
-        return circle(int(levels))
+        return circle(spec_ints(levels, "max_level"))
     x = simplicial_from_json(obj)
     if max_degree is not None and max_degree < x.max_level:
         x = x.truncate(max_degree)
@@ -102,7 +102,9 @@ def load_system(spec, base: Path, field=None, max_degree=None,
     if kind is None:
         raise ValidationError("system spec needs a 'construction' key")
     f = _load_field(spec, field)
-    degree = max_degree if max_degree is not None else spec.get("max_degree")
+    degree = max_degree
+    if degree is None and spec.get("max_degree") is not None:
+        degree = spec_ints(spec["max_degree"], "max_degree")
 
     def algebra(key="algebra"):
         obj = spec.get(key)
@@ -122,14 +124,13 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         a = algebra()
         m = bimodule(a)
         if kind == "hochschild":
-            return hochschild_system(a, m, int(degree))
-        return sphere2_system(a, m, int(degree), caps)
+            return hochschild_system(a, m, degree)
+        return sphere2_system(a, m, degree, caps)
     if kind in ("higher_hochschild", "loday"):
         a = algebra()
         m = bimodule(a)
         x = _load_simplicial(
-            spec.get("simplicial", {"builtin": "circle"}), base,
-            None if degree is None else int(degree),
+            spec.get("simplicial", {"builtin": "circle"}), base, degree,
         )
         if kind == "loday":
             return loday_chain(a, m, x, caps)
@@ -148,7 +149,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
             eps = _identity_morphism(b, a)
         else:
             eps = morphism_from_json(eps_obj, b, a)
-        return secondary_system(a, b, eps, int(degree), caps)
+        return secondary_system(a, b, eps, degree, caps)
     raise ValidationError(f"unknown construction {kind!r}")
 
 

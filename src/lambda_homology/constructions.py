@@ -62,24 +62,19 @@ __all__ = [
 class TensorLayout:
     """Row-major coordinates for a tensor product of based factors.
 
-    Slot 0 is the most significant; ``encode`` and ``decode`` translate
-    between index tuples and flat basis codes.
+    Slot 0 is the most significant: the index of slot t in a flat basis
+    code is ``code // strides[t] % dims[t]``; ``decode`` reads all of them.
     """
 
-    __slots__ = ("dims", "total")
+    __slots__ = ("dims", "strides", "total")
 
     def __init__(self, dims: tuple[int, ...]):
         self.dims = dims
-        total = 1
-        for d in dims:
-            total *= d
-        self.total = total
-
-    def encode(self, idx) -> int:
-        code = 0
-        for d, i in zip(self.dims, idx):
-            code = code * d + i
-        return code
+        strides = [1] * len(dims)
+        for t in range(len(dims) - 2, -1, -1):
+            strides[t] = strides[t + 1] * dims[t + 1]
+        self.strides = strides
+        self.total = strides[0] * dims[0] if dims else 1
 
     def decode(self, code: int) -> tuple[int, ...]:
         out = []
@@ -129,6 +124,111 @@ def _mixed_product(bim: Bimodule, factors: list[dict], module_pos: int) -> dict:
     return mvec
 
 
+def _basis_products(a: Algebra, m: Bimodule | None = None,
+                    b: Algebra | None = None, eps: AlgebraMorphism | None = None):
+    """Products of basis factors by kind, as sparse vectors of the result.
+
+    Kinds: ``"a"`` a basis element of ``a``, ``"m"`` one of the module,
+    ``"b"`` one of ``b``, ``"e"`` a basis element of ``b`` sent through
+    ``eps`` (its column) into ``a``.  A product with a module factor lies in
+    the module, one of ``"b"`` factors in ``b``, any other in ``a``; the
+    empty product is the unit of ``a``.
+    """
+    one = a.field.one
+
+    def product(kinds: tuple, idx: list) -> dict:
+        vecs = [eps.apply_basis(j) if k == "e" else {j: one}
+                for k, j in zip(kinds, idx)]
+        if "m" in kinds:
+            return _mixed_product(m, vecs, kinds.index("m"))
+        return _alg_product(b if kinds and kinds[0] == "b" else a, vecs)
+
+    return product
+
+
+def _recipe_column_fn(field, layouts: list[TensorLayout], slots_of, product):
+    """One face evaluator for every construction, driven by slot recipes.
+
+    ``slots_of(n, i, lab)`` describes a candidate face: for each slot of the
+    degree n-1 layout, the slots of the degree n layout whose basis factors
+    are multiplied into it, in order, each as ``(source slot, kind)`` with
+    the kinds of ``_basis_products``.  The description is compiled on first
+    use of ``(n, i, lab)`` into a recipe and kept.  Single-factor slots of
+    kind other than ``"e"`` copy their index: consecutive runs of them
+    become one strided block, ``code // source stride % modulus * target
+    stride``.  Every other slot reads its factors' indices, in mixed radix,
+    as the key of a table of basis products (already scaled by the target
+    stride), shared by all recipes of the system and filled on first use of
+    a key.  A column is the block sum plus the tensor product of the table
+    entries, built fresh for the caller, who owns it.
+    """
+    one = field.one
+    mul = field.mul
+    recipes: dict = {}
+    tables: dict = {}
+    parts: dict = {}
+    shared: dict = {}
+
+    def share(x: tuple) -> tuple:
+        """Equal blocks, strides, kinds and table entries are stored once."""
+        return shared.setdefault(x, x)
+
+    def compile_recipe(n, i, lab):
+        src = layouts[n].dims
+        src_strides = layouts[n].strides
+        tgt_strides = layouts[n - 1].strides
+        blocks = []
+        multis = []
+        last = None
+        for t, factors in enumerate(slots_of(n, i, lab)):
+            if len(factors) == 1 and factors[0][1] != "e":
+                s = factors[0][0]
+                if last == (t - 1, s - 1):
+                    block = blocks[-1]
+                    block[0] = src_strides[s]
+                    block[1] *= src[s]
+                    block[2] = tgt_strides[t]
+                else:
+                    blocks.append([src_strides[s], src[s], tgt_strides[t]])
+                last = (t, s)
+                continue
+            last = None
+            kinds = share(tuple(k for _, k in factors))
+            radix = tuple(share((src_strides[s], src[s])) for s, _ in factors)
+            key = (radix, kinds, tgt_strides[t])
+            part = parts.get(key)
+            if part is None:
+                table = tables.setdefault(key[1:], {})
+                part = parts[key] = (radix, table, kinds, tgt_strides[t])
+            multis.append(part)
+        return tuple(share(tuple(b)) for b in blocks), tuple(multis)
+
+    def column_fn(n, i, lab, code):
+        recipe = recipes.get((n, i, lab))
+        if recipe is None:
+            recipe = recipes[(n, i, lab)] = compile_recipe(n, i, lab)
+        blocks, multis = recipe
+        base = 0
+        for ss, mod, ts in blocks:
+            base += code // ss % mod * ts
+        terms = ((base, one),)
+        for radix, table, kinds, stride in multis:
+            key = 0
+            for ss, d in radix:
+                key = key * d + code // ss % d
+            prod = table.get(key)
+            if prod is None:
+                vec = product(kinds, [code // ss % d for ss, d in radix])
+                prod = tuple((j * stride, v) for j, v in vec.items())
+                prod = table[key] = share(prod)
+            if not prod:
+                return {}
+            terms = [(o + p, mul(c, v)) for o, c in terms for p, v in prod]
+        return dict(terms)
+
+    return column_fn
+
+
 def _check_pair(a: Algebra, m: Bimodule) -> None:
     if m.over is not a:
         raise ValidationError("bimodule is not over the given algebra")
@@ -153,21 +253,16 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
     layouts = [TensorLayout((m.dim,) + (a.dim,) * n) for n in range(max_degree + 1)]
     dims = tuple(layouts[n].total for n in range(max_degree + 1))
     labels = {(n, i): (0,) for n in range(1, max_degree + 1) for i in range(n + 1)}
-    one = field.one
 
-    def column_fn(n, i, lab, code):
-        idx = layouts[n].decode(code)
-        mvec = {idx[0]: one}
-        avecs = [{idx[j]: one} for j in range(1, n + 1)]
+    def slots_of(n, i, lab):
+        alg = [((s, "a"),) for s in range(1, n + 1)]
         if i == 0:
-            slots = [m.act_right(mvec, avecs[0])] + avecs[1:]
-        elif i == n:
-            slots = [m.act_left(avecs[-1], mvec)] + avecs[:-1]
-        else:
-            merged = a.multiply(avecs[i - 1], avecs[i])
-            slots = [mvec] + avecs[: i - 1] + [merged] + avecs[i + 1 :]
-        return layouts[n - 1].expand(field, slots)
+            return [((0, "m"), (1, "a"))] + alg[1:]
+        if i == n:
+            return [((n, "a"), (0, "m"))] + alg[:-1]
+        return [((0, "m"),)] + alg[: i - 1] + [((i, "a"), (i + 1, "a"))] + alg[i + 1 :]
 
+    column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
     tag = f"classical({a.label or 'A'},{m.label or 'M'})"
     return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
 
@@ -220,27 +315,18 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
             ]
             labels[(n, i)] = tuple(itertools.product(*perm_sets))
 
-    one = field.one
-
-    def column_fn(n, i, lab, code):
-        idx = layouts[n].decode(code)
+    def slots_of(n, i, lab):
         part = fibers[(n, i)]
         perm_of = {t: p for (t, _), p in zip(multis[(n, i)], lab)}
-        slots = []
+        out = []
         for t in range(x.size(n - 1)):
             fib = part.fiber_of(t)
             perm = perm_of.get(t)
             ordered = [fib[p] for p in perm] if perm else fib
-            factors = [
-                {idx[s]: one} for s in ordered
-            ]
-            if t == 0:
-                pos = ordered.index(0)
-                slots.append(_mixed_product(m, factors, pos))
-            else:
-                slots.append(_alg_product(a, factors))
-        return layouts[n - 1].expand(field, slots)
+            out.append(tuple((s, "m" if t == 0 and s == 0 else "a") for s in ordered))
+        return out
 
+    column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
     return dims, labels, column_fn
 
 
@@ -276,6 +362,21 @@ def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
 # ---------------------------------------------------------------------------
 
 
+def _ordered(x, y, swap) -> tuple:
+    return (y, x) if swap else (x, y)
+
+
+def _pair_merge(factor, n: int, i: int, pp: int, qq: int, swaps: dict) -> tuple:
+    """Factors of target position (pp, qq) when face i collapses rows and
+    columns i, i+1 of a triangular array: the merged row and column pairs
+    in the order ``swaps`` picks, every other position shifted past i."""
+    if qq == i and pp < i:
+        return _ordered(factor(pp, i), factor(pp, i + 1), swaps[pp])
+    if pp == i and qq >= i + 1:
+        return _ordered(factor(i, qq + 1), factor(i + 1, qq + 1), swaps[qq])
+    return (factor(pp + 1 if pp > i else pp, qq + 1 if qq > i else qq),)
+
+
 def _tri_slot(n: int, p: int, q: int) -> int:
     """Slot of position (p, q), 1 <= p < q <= n, row-major, after the module."""
     return 1 + (p - 1) * (2 * n - p) // 2 + (q - p - 1)
@@ -306,58 +407,35 @@ def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
         labels[(n, n)] = tail
         for i in range(1, n):
             labels[(n, i)] = tuple(itertools.product((0, 1), repeat=n - 1))
-    one = field.one
 
-    def column_fn(n, i, lab, code):
-        idx = layouts[n].decode(code)
-        mvec = {idx[0]: one}
+    def slots_of(n, i, lab):
+        def av(p, q):
+            return (_tri_slot(n, p, q), "a")
 
-        def avec(p, q):
-            return {idx[_tri_slot(n, p, q)]: one}
-
-        tgt = layouts[n - 1]
         if i == 0 or i == n:
-            # by-position values: 0 is the module, others are row-1 or
+            # by-position factors: 0 is the module, others are row-1 or
             # last-column entries; the candidate lists the multiplication order
-            values = {0: mvec}
+            values = {0: (0, "m")}
             if i == 0:
                 for q in range(2, n + 1):
-                    values[q] = avec(1, q)
+                    values[q] = av(1, q)
             else:
                 for p in range(1, n):
-                    values[p] = avec(p, n)
-            factors = [values[s] for s in lab]
-            slots = [_mixed_product(m, factors, lab.index(0))]
+                    values[p] = av(p, n)
+            out = [tuple(values[s] for s in lab)]
             for pp in range(1, n):
                 for qq in range(pp + 1, n):
-                    if i == 0:
-                        slots.append(avec(pp + 1, qq + 1))
-                    else:
-                        slots.append(avec(pp, qq))
-            return tgt.expand(field, slots)
+                    out.append((av(pp + 1, qq + 1),) if i == 0 else (av(pp, qq),))
+            return out
         # middle face: lab = (s_1, ..., s_{n-1}), 0 keeps order, 1 swaps
-        def two(x, y, swap):
-            return a.multiply(y, x) if swap else a.multiply(x, y)
-
         s = dict(enumerate(lab, start=1))
-        if s[i]:
-            module = m.act_left(avec(i, i + 1), mvec)
-        else:
-            module = m.act_right(mvec, avec(i, i + 1))
-        slots = [module]
-        for pp in range(1, n):
-            for qq in range(pp + 1, n):
-                # (pp, qq) runs over target positions, 1 <= pp < qq <= n-1
-                if qq == i and pp < i:
-                    slots.append(two(avec(pp, i), avec(pp, i + 1), s[pp]))
-                elif pp == i and qq >= i + 1:
-                    slots.append(two(avec(i, qq + 1), avec(i + 1, qq + 1), s[qq]))
-                else:
-                    sp = pp + 1 if pp > i else pp
-                    sq = qq + 1 if qq > i else qq
-                    slots.append(avec(sp, sq))
-        return tgt.expand(field, slots)
+        module = _ordered((0, "m"), av(i, i + 1), s[i])
+        return [module] + [
+            _pair_merge(av, n, i, pp, qq, s)
+            for pp in range(1, n) for qq in range(pp + 1, n)
+        ]
 
+    column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
     tag = f"triangular({a.label or 'A'},{m.label or 'M'})"
     return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
 
@@ -401,57 +479,41 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
                 for j in range(n)
             ]
             labels[(n, i)] = tuple(itertools.product(*ranges))
-    one = field.one
 
-    def column_fn(n, i, lab, code):
-        idx = layouts[n].decode(code)
-
+    def slots_of(n, i, lab):
         def da(j):
-            return {idx[j]: one}
+            return ((j, "a"),)
 
         def db(p, q):
-            return {idx[_pair_slot(n, p, q)]: one}
+            return (_pair_slot(n, p, q), "b")
 
-        def triple(a1, a2, bvec, mode):
-            eb = eps.apply(bvec)
-            if mode == 0:
-                return _alg_product(a, [eb, a1, a2])
-            if mode == 1:
-                return _alg_product(a, [a1, eb, a2])
-            return _alg_product(a, [a1, a2, eb])
+        def triple(a1, a2, p, q, mode):
+            # the (p, q) factor of B enters through the morphism
+            eb = (_pair_slot(n, p, q), "e")
+            return ((eb, a1, a2), (a1, eb, a2), (a1, a2, eb))[mode]
 
-        def two(b1, b2, swap):
-            return b.multiply(b2, b1) if swap else b.multiply(b1, b2)
-
-        tgt = layouts[n - 1]
         if i < n:
             diag = [da(j) for j in range(i)]
-            diag.append(triple(da(i), da(i + 1), db(i, i + 1), lab[i]))
+            diag.append(triple((i, "a"), (i + 1, "a"), i, i + 1, lab[i]))
             diag.extend(da(j) for j in range(i + 2, n + 1))
-            pairs = []
-            for pp in range(n):
-                for qq in range(pp + 1, n):
-                    if qq == i and pp < i:
-                        pairs.append(two(db(pp, i), db(pp, i + 1), lab[pp]))
-                    elif pp == i and qq >= i + 1:
-                        pairs.append(two(db(i, qq + 1), db(i + 1, qq + 1), lab[qq]))
-                    else:
-                        sp = pp + 1 if pp > i else pp
-                        sq = qq + 1 if qq > i else qq
-                        pairs.append(db(sp, sq))
-            return tgt.expand(field, diag + pairs)
+            return diag + [
+                _pair_merge(db, n, i, pp, qq, lab)
+                for pp in range(n) for qq in range(pp + 1, n)
+            ]
         # wrap: diagonal n folds onto diagonal 0 through the (0, n) factor
-        diag = [triple(da(n), da(0), db(0, n), lab[0])]
+        diag = [triple((n, "a"), (0, "a"), 0, n, lab[0])]
         diag.extend(da(j) for j in range(1, n))
         pairs = []
         for pp in range(n):
             for qq in range(pp + 1, n):
                 if pp == 0:
-                    pairs.append(two(db(0, qq), db(qq, n), lab[qq]))
+                    pairs.append(_ordered(db(0, qq), db(qq, n), lab[qq]))
                 else:
-                    pairs.append(db(pp, qq))
-        return tgt.expand(field, diag + pairs)
+                    pairs.append((db(pp, qq),))
+        return diag + pairs
 
+    column_fn = _recipe_column_fn(field, layouts, slots_of,
+                                  _basis_products(a, b=b, eps=eps))
     tag = f"paired({a.label or 'A'},{b.label or 'B'})"
     return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict reader of
+integers in JSON specs that raises them."""
 
 from __future__ import annotations
 
@@ -29,3 +30,27 @@ class ResourceCapError(LambdaHomologyError):
 
 class InternalCheckError(LambdaHomologyError):
     """An invariant that should be unbreakable failed; indicates a bug."""
+
+
+def spec_ints(value, what: str, arity: int = 0):
+    """Integers read from a JSON spec, strictly.
+
+    With ``arity`` 0 the value must be one JSON integer, which is returned.
+    Otherwise it must be a list of ``arity`` items whose items but the last
+    (a scalar literal) are JSON integers; it is returned as a tuple.  Bools,
+    floats and strings are not integers here.  Anything else raises a
+    ``ValidationError`` naming ``what`` and the value.
+    """
+    if arity == 0:
+        if type(value) is not int:
+            raise ValidationError(f"{what} must be an integer", entry=value)
+        return value
+    if not isinstance(value, list) or len(value) != arity:
+        raise ValidationError(
+            f"{what} entry must be a list of {arity} items", entry=value
+        )
+    if any(type(v) is not int for v in value[:-1]):
+        raise ValidationError(
+            f"{what} entry must start with {arity - 1} integers", entry=value
+        )
+    return tuple(value)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, spec_ints
 
 
 def _read_literal(s) -> Fraction:
@@ -86,17 +86,6 @@ class Rationals:
             return int(a)
         # 1 / a would be a float for an int a
         return 1 / Fraction(a)
-
-    def dot(self, row: dict, vec: dict):
-        """Sum of row[c] * vec[c] over shared keys."""
-        if len(vec) < len(row):
-            row, vec = vec, row
-        s = self.zero
-        for c, a in row.items():
-            b = vec.get(c)
-            if b is not None:
-                s = s + a * b
-        return s
 
     def axpy_row(self, dst: dict, src: dict, c) -> None:
         """dst += c * src, deleting entries that cancel to zero."""
@@ -183,16 +172,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def dot(self, row: dict, vec: dict):
-        if len(vec) < len(row):
-            row, vec = vec, row
-        s = 0
-        for c, a in row.items():
-            b = vec.get(c)
-            if b is not None:
-                s += a * b
-        return s % self.p
-
     def axpy_row(self, dst: dict, src: dict, c) -> None:
         p = self.p
         get = dst.get
@@ -245,7 +224,7 @@ def field_from_json(obj) -> Rationals | PrimeField:
     if kind == "Fp":
         if "p" not in obj:
             raise ValidationError("prime field spec needs 'p'", got=obj)
-        return PrimeField(int(obj["p"]))
+        return PrimeField(spec_ints(obj["p"], "p"))
     raise ValidationError(f"unknown field kind {kind!r}", got=obj)
 
 

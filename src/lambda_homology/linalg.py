@@ -23,6 +23,10 @@ from .errors import InternalCheckError, ValidationError
 DENSE_THRESHOLD = 0.25
 
 
+#: the one zero column that ``Matrix.from_columns`` stores; never mutated
+_NO_ENTRIES: dict = {}
+
+
 class Matrix:
     """An immutable-by-convention sparse matrix over an exact field."""
 
@@ -72,12 +76,16 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, nrows: int, cols: Sequence[dict]) -> "Matrix":
+        """Build from sparse columns.  The caller hands the column dicts
+        over: they are kept as the matrix's columns, not copied, and must
+        not be changed afterwards.  Zero columns all become one shared
+        empty dict, since face matrices have many of them."""
         rows = [dict() for _ in range(nrows)]
         for c, col in enumerate(cols):
             for r, v in col.items():
                 rows[r][c] = v
         m = cls(field, nrows, len(cols), rows)
-        m._cols = [dict(c) for c in cols]
+        m._cols = [col if col else _NO_ENTRIES for col in cols]
         return m
 
     @classmethod
@@ -188,20 +196,8 @@ class Matrix:
             rows.append(acc)
         return Matrix(f, self.nrows, other.ncols, rows)
 
-    def matvec(self, vec: dict) -> dict:
-        """Apply to a sparse column vector."""
-        f = self.field
-        out = {}
-        for r, row in enumerate(self.rows):
-            if not row:
-                continue
-            s = f.dot(row, vec)
-            if s:
-                out[r] = s
-        return out
-
     def apply_to_vec(self, vec: dict) -> dict:
-        """Column-oriented apply; faster than matvec for very sparse vectors."""
+        """Apply to a sparse column vector, one column per nonzero entry."""
         f = self.field
         out: dict = {}
         for c, a in vec.items():
@@ -696,6 +692,6 @@ def restrict_map(m: Matrix, domain: Subspace, codomain: Subspace) -> Matrix:
         )
     cols = []
     for brow in domain.basis.rows:
-        img = m.matvec(brow)
+        img = m.apply_to_vec(brow)
         cols.append(codomain.coords_of(img))
     return Matrix.from_columns(m.field, codomain.dim, cols)

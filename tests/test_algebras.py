@@ -173,6 +173,25 @@ def test_bimodule_json_round_trip(q, upper):
             assert again.right_pair(j, i) == m.right_pair(j, i)
 
 
+@pytest.mark.parametrize("part, entry", [
+    ("dim", "2"),
+    ("left", [0, 0, "1"]),
+    ("right", [0, 0.0, 0, "1"]),
+    ("matrix", [0, False, "1"]),
+    ("matrix", "0 0 1"),
+])
+def test_spec_integers_are_read_strictly(q, ground, dual, part, entry):
+    m = bimodule_to_json(Bimodule.regular(dual))
+    with pytest.raises(ValidationError) as exc:
+        if part == "dim":
+            bimodule_from_json(dict(m, dim=entry), over=dual)
+        elif part == "matrix":
+            morphism_from_json({"matrix": [[0, 0, "1"], entry]}, ground, dual)
+        else:
+            bimodule_from_json(dict(m, **{part: m[part] + [entry]}), over=dual)
+    assert exc.value.details["entry"] == entry
+
+
 def test_named_algebra_dispatch(q):
     assert named_algebra(q, "ground_field").dim == 1
     assert named_algebra(q, "truncated_polynomial", order=3).dim == 3

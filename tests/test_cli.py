@@ -175,6 +175,37 @@ def test_bad_prime_field_literal_exits_1(tmp_path, literal):
     assert repr(literal) in body["message"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_degree", "x"),
+    ("max_degree", 2.5),
+    ("max_degree", True),
+    ("mult", [[0, 0, 0, "1"], [0, 0, "1"]]),
+    ("mult", [["a", 0, 0, "1"]]),
+], ids=["degree-string", "degree-float", "degree-bool", "mult-three-items",
+        "mult-string-index"])
+def test_malformed_integer_in_spec_exits_1(tmp_path, field, value):
+    spec = {
+        "construction": "hochschild",
+        "algebra": {"dim": 1, "unit": ["1"], "mult": [[0, 0, 0, "1"]]},
+        "max_degree": 2,
+    }
+    if field == "mult":
+        spec["algebra"]["mult"] = value
+        entry = value[-1]
+    else:
+        spec[field] = value
+        entry = value
+    path = tmp_path / "bad_integer.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli(["homology", str(path)])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert field in body["message"]
+    assert body["details"]["entry"] == entry
+
+
 def test_usage_error_exits_1():
     r = run_cli(["homology"])
     assert r.returncode == 1

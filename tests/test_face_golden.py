@@ -1,0 +1,159 @@
+"""Golden digests of every candidate face matrix of the shipped constructions.
+
+Each case hashes, in (degree, position, candidate) order, the label and
+``to_entries()`` of every candidate face matrix, not only the reference
+ones.  The algebras are the upper-triangular 2x2 matrices on their matrix
+units and the same algebra on the basis u0 = e11 + e22, u1 = (e11 + e12)/2,
+u2 = e12 + e22, where u1 u2 = -u0/2 + u1 + u2/2: basis products with several
+terms and non-integral constants.  The digests were recorded from the face
+evaluation that multiplied each column's factors with ``Algebra.multiply``;
+any faster evaluation must reproduce them exactly.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lambda_homology.algebras import (
+    Bimodule,
+    algebra_from_json,
+    ground_field_algebra,
+    morphism_from_json,
+    upper_triangular_2x2,
+)
+from lambda_homology.constructions import (
+    higher_hochschild_system,
+    hochschild_system,
+    secondary_system,
+    sphere2_system,
+)
+from lambda_homology.fields import RATIONALS, PrimeField
+from lambda_homology.simplicial import circle
+from lambda_homology.systems import label_json
+
+FIELDS = {"Q": RATIONALS, "F7": PrimeField(7)}
+CONSTRUCTIONS = ("classical", "circle", "sphere2", "secondary_unit",
+                 "secondary_twist")
+
+TWISTED = {
+    "dim": 3, "unit": ["1", "0", "0"],
+    "mult": [
+        [0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"], [1, 0, 1, "1"],
+        [1, 1, 1, "1/2"], [1, 2, 0, "-1/2"], [1, 2, 1, "1"], [1, 2, 2, "1/2"],
+        [2, 0, 2, "1"], [2, 2, 2, "1"],
+    ],
+}
+# the matrix units written in the twisted basis: an isomorphism whose
+# columns have several terms
+TWIST = {"matrix": [
+    [0, 0, "1/2"], [1, 0, "1"], [2, 0, "-1/2"], [0, 1, "-1/2"], [1, 1, "1"],
+    [2, 1, "1/2"], [0, 2, "1/2"], [1, 2, "-1"], [2, 2, "1/2"],
+]}
+IDENTITY = {"matrix": [[0, 0, "1"], [1, 1, "1"], [2, 2, "1"]]}
+
+
+def _algebras(field, kind):
+    """(A, B, eps: B -> A) with B the upper-triangular matrix units."""
+    upper = upper_triangular_2x2(field)
+    if kind == "upper":
+        return upper, upper, morphism_from_json(IDENTITY, upper, upper)
+    twisted = algebra_from_json(TWISTED, field=field)
+    return twisted, upper, morphism_from_json(TWIST, upper, twisted)
+
+
+def build(field_name, kind, construction):
+    field = FIELDS[field_name]
+    a, b, eps = _algebras(field, kind)
+    m = Bimodule.regular(a)
+    if construction == "classical":
+        return hochschild_system(a, m, 3)
+    if construction == "circle":
+        return higher_hochschild_system(a, m, circle(3))
+    if construction == "sphere2":
+        return sphere2_system(a, m, 3)
+    if construction == "secondary_unit":
+        k = ground_field_algebra(field)
+        return secondary_system(a, k, morphism_from_json("unit", k, a), 3)
+    assert construction == "secondary_twist"
+    return secondary_system(a, b, eps, 2)
+
+
+def face_digest(system) -> str:
+    h = hashlib.sha256()
+    for n in range(1, system.max_degree + 1):
+        for i in range(n + 1):
+            for lab in system.labels_at(n, i):
+                entries = system.face_matrix(n, i, lab).to_entries()
+                h.update(json.dumps([n, i, label_json(lab), entries]).encode())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "F7/twisted/classical":
+        "c5261a7dc214bf29abd01b8a943685b161655d8339652ec173c7444df7c2b4b3",
+    "F7/twisted/circle":
+        "3850abf022ca4a59f2f9bd35ca9f3a84b7eca45130ba440e4cbba599ad37971d",
+    "F7/twisted/sphere2":
+        "6293a1acdc94ff26d33f1eb0b4a2295f52e0b9425fc7f2bc671a6d6a71c5e6aa",
+    "F7/twisted/secondary_unit":
+        "a8aca31f5cbce1da98d668fb4432630268f7194bd8520e653c9ecb59a039318b",
+    "F7/twisted/secondary_twist":
+        "cb66a55b669a5e3b86bfd5bedc256866a05c550f58dbad0c143851445c531039",
+    "F7/upper/classical":
+        "73a3a66e5980889cffdcb998e24c39bf1e6027265f9d29773b8428d648256ae4",
+    "F7/upper/circle":
+        "9d3051e6bbfdeaa9e008e817a01dd8919e02e64ddc494e7e014189f73761f248",
+    "F7/upper/sphere2":
+        "20f2190c32a79ac4bffacaee777f3070121bc085f2662f1f64646d42a4233af6",
+    "F7/upper/secondary_unit":
+        "a71e564185f92f4eba9c7ce1506e56adf8d5786792c155fc294bc04db5cb6631",
+    "F7/upper/secondary_twist":
+        "d813edb44890d4ce813c1b7f88096bf6230a1d8a5a0dbffe24f9525df75ceb37",
+    "Q/twisted/classical":
+        "9fa82d875c5d1b10f32c09152a71ab8b197a600bbfa1d071afcf2550af8bd4e6",
+    "Q/twisted/circle":
+        "64e1607f5ed2a330ef21df9593c1b02d09477ee9a9727fc76e926aaf0285b86a",
+    "Q/twisted/sphere2":
+        "64d069909ddbbdfe9d6619b6461be3b363188e3861c610837b34e76b1dcde750",
+    "Q/twisted/secondary_unit":
+        "f36ec28e0875be5554e2514faa9341fa7032862cb2e0825014b2f77ea6d3e0d7",
+    "Q/twisted/secondary_twist":
+        "75c270fb356c60f9f1da69983cf9b1b9f1b405df22fd5d003fd03a2a3a35bd01",
+    "Q/upper/classical":
+        "73a3a66e5980889cffdcb998e24c39bf1e6027265f9d29773b8428d648256ae4",
+    "Q/upper/circle":
+        "9d3051e6bbfdeaa9e008e817a01dd8919e02e64ddc494e7e014189f73761f248",
+    "Q/upper/sphere2":
+        "20f2190c32a79ac4bffacaee777f3070121bc085f2662f1f64646d42a4233af6",
+    "Q/upper/secondary_unit":
+        "a71e564185f92f4eba9c7ce1506e56adf8d5786792c155fc294bc04db5cb6631",
+    "Q/upper/secondary_twist":
+        "d813edb44890d4ce813c1b7f88096bf6230a1d8a5a0dbffe24f9525df75ceb37",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_face_digest(case):
+    field_name, kind, construction = case.split("/")
+    assert face_digest(build(field_name, kind, construction)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_returned_columns_are_owned_by_the_caller(construction):
+    system = build("Q", "twisted", construction)
+    n = system.max_degree
+    for i in range(n + 1):
+        ref = system.face_matrix(n, i)
+        entries = ref.to_entries()
+        cols = [dict(ref.column(x)) for x in range(system.dims[n])]
+        for lab in system.labels_at(n, i):
+            for x in range(system.dims[n]):
+                col = system.column_fn(n, i, lab, x)
+                expect = dict(col)
+                col.clear()
+                col[-1] = 7
+                assert system.column_fn(n, i, lab, x) == expect
+        assert system.face_matrix(n, i) is ref
+        assert ref.to_entries() == entries
+        assert [ref.column(x) for x in range(system.dims[n])] == cols

@@ -114,18 +114,6 @@ def test_prime_field_laws(a, b):
 @given(st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
                        max_size=6),
        st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
-                       max_size=6))
-def test_sparse_dot_matches_dense(row_ints, vec_ints):
-    q = Rationals()
-    row = {k: Fraction(v) for k, v in row_ints.items()}
-    vec = {k: Fraction(v) for k, v in vec_ints.items()}
-    dense = sum(row.get(k, 0) * vec.get(k, 0) for k in range(10))
-    assert q.dot(row, vec) == dense
-
-
-@given(st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
-                       max_size=6),
-       st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
                        max_size=6),
        st.integers(-4, 4))
 def test_axpy_row_matches_dense(dst_ints, src_ints, c_int):
