@@ -20,7 +20,6 @@ from .fields import PrimeField, Rationals, field_from_json, field_to_json, parse
 from .linalg import (
     Matrix,
     Subspace,
-    intersect,
     preimage_constraint,
     rank_and_kernel,
     restrict_map,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ValidationError, spec_ints
+from .errors import ValidationError, spec_ints, spec_of
 from .fields import field_from_json
 from .linalg import Matrix
 
@@ -321,12 +321,12 @@ def truncated_polynomial_algebra(field, order: int) -> Algebra:
 
 def group_algebra(field, table: list[list[int]], label: str = "") -> Algebra:
     """Group algebra from a Cayley table; the table is checked to be a group."""
-    n = len(table)
-    if any(len(row) != n for row in table):
+    n = len(spec_of(table, "Cayley table"))
+    if any(len(spec_of(row, "Cayley table row")) != n for row in table):
         raise ValidationError("Cayley table is not square")
     for row in table:
         for v in row:
-            if not (0 <= v < n):
+            if not (0 <= spec_ints(v, "Cayley table entry") < n):
                 raise ValidationError("Cayley table entry out of range", entry=v)
     identity = None
     for e in range(n):
@@ -513,7 +513,7 @@ def matrix_bimodule(big: Algebra, m: Bimodule, size: int) -> tuple[Bimodule, Mat
 
 
 def algebra_from_json(obj: dict, field=None) -> Algebra:
-    if "builtin" in obj:
+    if "builtin" in spec_of(obj, "algebra spec", dict):
         if field is None:
             field = field_from_json(obj.get("field", {"kind": "Q"}))
         params = {k: v for k, v in obj.items() if k not in ("builtin", "field")}
@@ -524,7 +524,7 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
         raise ValidationError("algebra spec needs 'dim'")
     dim = spec_ints(obj["dim"], "dim")
     pairs = [[{} for _ in range(dim)] for _ in range(dim)]
-    for quad in obj.get("mult", []):
+    for quad in spec_of(obj.get("mult", []), "mult"):
         i, j, k, lit = spec_ints(quad, "mult", 4)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValidationError("mult entry out of range", entry=quad)
@@ -532,7 +532,7 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
         if v:
             pairs[i][j][k] = field.add(pairs[i][j].get(k, field.zero), v)
     unit_list = obj.get("unit")
-    if unit_list is None or len(unit_list) != dim:
+    if unit_list is None or len(spec_of(unit_list, "unit")) != dim:
         raise ValidationError("algebra spec needs a dense 'unit' of length dim")
     unit = {}
     for k, lit in enumerate(unit_list):
@@ -565,7 +565,7 @@ def algebra_to_json(a: Algebra) -> dict:
 
 def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
     field = over.field
-    if "builtin" in obj:
+    if "builtin" in spec_of(obj, "bimodule spec", dict):
         if obj["builtin"] == "regular":
             return Bimodule.regular(over)
         raise ValidationError(f"unknown builtin bimodule {obj['builtin']!r}")
@@ -574,14 +574,14 @@ def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
     dim = spec_ints(obj["dim"], "dim")
     left = [[{} for _ in range(dim)] for _ in range(over.dim)]
     right = [[{} for _ in range(over.dim)] for _ in range(dim)]
-    for quad in obj.get("left", []):
+    for quad in spec_of(obj.get("left", []), "left"):
         i, j, k, lit = spec_ints(quad, "left", 4)
         if not (0 <= i < over.dim and 0 <= j < dim and 0 <= k < dim):
             raise ValidationError("left action entry out of range", entry=quad)
         v = field.parse(lit)
         if v:
             left[i][j][k] = field.add(left[i][j].get(k, field.zero), v)
-    for quad in obj.get("right", []):
+    for quad in spec_of(obj.get("right", []), "right"):
         j, i, k, lit = spec_ints(quad, "right", 4)
         if not (0 <= j < dim and 0 <= i < over.dim and 0 <= k < dim):
             raise ValidationError("right action entry out of range", entry=quad)

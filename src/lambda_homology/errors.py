@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the strict reader of
-integers in JSON specs that raises them."""
+"""Exception types shared across the package, and the strict readers of
+integers and lists in JSON specs that raise them."""
 
 from __future__ import annotations
 
@@ -54,3 +54,12 @@ def spec_ints(value, what: str, arity: int = 0):
             f"{what} entry must start with {arity - 1} integers", entry=value
         )
     return tuple(value)
+
+
+def spec_of(value, what: str, kind: type = list):
+    """A JSON array (``kind`` list) or object (``kind`` dict) read from a
+    spec; anything else raises a ``ValidationError`` naming ``what``."""
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "a JSON object"
+        raise ValidationError(f"{what} must be {name}", entry=value)
+    return value

@@ -14,6 +14,7 @@ kernels the elimination code runs hot.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ValidationError, spec_ints
 
@@ -26,18 +27,32 @@ def _read_literal(s) -> Fraction:
         raise ValidationError(f"bad rational literal {s!r}", literal=str(s)) from exc
 
 
+#: Miller-Rabin with the first twelve primes as bases decides primality of
+#: every n below the bound (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Exact: deterministic Miller-Rabin below ``_MR_BOUND``, trial
+    division from it on."""
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        return all(p % d for d in range(41, isqrt(p) + 1, 2))
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 

@@ -71,10 +71,6 @@ class Matrix:
         return cls(field, nrows, ncols, rows)
 
     @classmethod
-    def from_rows(cls, field, ncols: int, rows: Sequence[dict]) -> "Matrix":
-        return cls(field, len(rows), ncols, [dict(r) for r in rows])
-
-    @classmethod
     def from_columns(cls, field, nrows: int, cols: Sequence[dict]) -> "Matrix":
         """Build from sparse columns.  The caller hands the column dicts
         over: they are kept as the matrix's columns, not copied, and must
@@ -101,9 +97,6 @@ class Matrix:
 
     # ------------------------------------------------------------- queries
 
-    def entry(self, r: int, c: int):
-        return self.rows[r].get(c, self.field.zero)
-
     def column(self, c: int) -> dict:
         if self._cols is None:
             cols = [dict() for _ in range(self.ncols)]
@@ -115,10 +108,6 @@ class Matrix:
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
-
-    def density(self) -> float:
-        cells = self.nrows * self.ncols
-        return self.nnz() / cells if cells else 0.0
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
@@ -156,15 +145,6 @@ class Matrix:
         rows = [dict(r) for r in self.rows]
         for dst, src in zip(rows, other.rows):
             f.axpy_row(dst, src, f.one)
-        return Matrix(f, self.nrows, self.ncols, rows)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        minus_one = f.neg(f.one)
-        rows = [dict(r) for r in self.rows]
-        for dst, src in zip(rows, other.rows):
-            f.axpy_row(dst, src, minus_one)
         return Matrix(f, self.nrows, self.ncols, rows)
 
     def scale(self, c) -> "Matrix":
@@ -376,9 +356,12 @@ def rref(field, rows: Sequence[dict], ncols: int, full: bool = True,
     With ``full=True`` the result is the reduced row-echelon form (unique);
     with ``full=False`` only entries below pivots are cleared, which is
     enough for ranks.  Zero rows are dropped; pivots come back strictly
-    increasing with their rows in matching order.
+    increasing with their rows in matching order.  The caller hands the
+    row dicts over, each a distinct dict: they are eliminated in place,
+    not copied, and their contents are unspecified afterwards.  Pass
+    copies to keep the rows.
     """
-    work = [dict(r) for r in rows if r]
+    work = [r for r in rows if r]
     if not work or ncols == 0:
         return [], ()
     nnz = sum(len(r) for r in work)
@@ -444,7 +427,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim: int, vectors: Sequence[dict]) -> "Subspace":
-        rows, pivots = rref(field, vectors, ambient_dim, full=True)
+        rows, pivots = rref(field, [dict(v) for v in vectors], ambient_dim, full=True)
         return cls._from_rref(field, ambient_dim, rows, pivots)
 
     @classmethod
@@ -511,9 +494,6 @@ class Subspace:
             if c:
                 coords[r] = c
         return coords
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.rows)
 
     # ---------------------------------------------------------- operations
 
@@ -619,19 +599,24 @@ class Subspace:
 
 def rank_and_kernel(m: Matrix) -> tuple[int, Subspace]:
     """Rank and kernel of a matrix acting on column vectors."""
-    rows, pivots = rref(m.field, m.rows, m.ncols, full=True)
+    rows, pivots = rref(m.field, [dict(r) for r in m.rows], m.ncols, full=True)
     kernel_rows = kernel_rows_from_rref(m.field, rows, pivots, m.ncols)
     return len(pivots), Subspace.from_vectors(m.field, m.ncols, kernel_rows)
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = rref(m.field, m.rows, m.ncols, full=False)
+    """Rank, eliminated on the shorter side: rank(A) = rank(A^T)."""
+    if m.nrows > m.ncols:
+        rows, ncols = m.transpose().rows, m.nrows
+    else:
+        rows, ncols = [dict(r) for r in m.rows], m.ncols
+    _, pivots = rref(m.field, rows, ncols, full=False)
     return len(pivots)
 
 
 def kernel_of_rows(field, rows: Sequence[dict], ncols: int) -> Subspace:
     """Kernel of the linear map whose matrix has the given rows."""
-    rr, pivots = rref(field, rows, ncols, full=True)
+    rr, pivots = rref(field, [dict(r) for r in rows], ncols, full=True)
     return Subspace.from_vectors(
         field, ncols, kernel_rows_from_rref(field, rr, pivots, ncols)
     )
@@ -642,7 +627,8 @@ def kernel_of_rows_raw(field, rows: Sequence[dict], ncols: int) -> Subspace:
 
     The pivots of the result are the free columns of the constraint system.
     This avoids a second elimination pass on large kernels; callers that
-    need the canonical basis call canonicalize().
+    need the canonical basis call canonicalize().  As with ``rref``, the
+    caller hands the row dicts over and they are eliminated in place.
     """
     rr, pivots = rref(field, rows, ncols, full=True)
     if not pivots:
@@ -656,10 +642,6 @@ def kernel_of_rows_raw(field, rows: Sequence[dict], ncols: int) -> Subspace:
 def image(m: Matrix) -> Subspace:
     """Column span of a matrix."""
     return Subspace.from_vectors(m.field, m.nrows, m.transpose().rows)
-
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
 
 
 def preimage_constraint(m: Matrix, target: Subspace) -> Subspace:

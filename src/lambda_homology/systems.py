@@ -24,6 +24,8 @@ optional restricted matrices, since their bases can be large.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .config import DEFAULT_CAPS
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .linalg import (
@@ -130,13 +132,15 @@ class LambdaSystem:
         return out
 
     def boundary_matrix(self, n: int) -> Matrix:
-        """Alternating sum of the reference faces on the ambient space."""
+        """Alternating sum of the reference faces, summed row by row in place."""
         f = self.field
-        acc = Matrix.zeros(f, self.dims[n - 1], self.dims[n])
+        rows = [{} for _ in range(self.dims[n - 1])]
+        sign = f.one
         for i in range(n + 1):
-            term = self.face_matrix(n, i)
-            acc = acc.add(term) if i % 2 == 0 else acc.sub(term)
-        return acc
+            for acc, frow in zip(rows, self.face_matrix(n, i).rows):
+                f.axpy_row(acc, frow, sign)
+            sign = f.neg(sign)
+        return Matrix(f, self.dims[n - 1], self.dims[n], rows)
 
     def apply_boundary(self, n: int, vec: dict) -> dict:
         # goes through apply_face so huge ambients with sparse vectors
@@ -251,24 +255,19 @@ def _identity_rows(system: LambdaSystem, n: int) -> list[dict]:
     if n < 2:
         return []
     f = system.field
-    amb = system.dims[n]
+    minus_one = f.neg(f.one)
     rows = []
     for j in range(1, n + 1):
         upper_j = system.face_matrix(n, j)
         for i in range(j):
-            upper_i = system.face_matrix(n, i)
-            lower_i = system.face_matrix(n - 1, i)
-            lower_jm1 = system.face_matrix(n - 1, j - 1)
-            by_target: dict[int, dict] = {}
-            for x in range(amb):
-                left = lower_i.apply_to_vec(upper_j.column(x))
-                right = lower_jm1.apply_to_vec(upper_i.column(x))
-                if left == right:
-                    continue
-                f.axpy_row(left, right, f.neg(f.one))
-                for r, v in left.items():
-                    by_target.setdefault(r, {})[x] = v
-            rows.extend(by_target[r] for r in sorted(by_target))
+            left = system.face_matrix(n - 1, i).mul(upper_j)
+            right = system.face_matrix(n - 1, j - 1).mul(system.face_matrix(n, i))
+            if left == right:
+                continue
+            for lrow, rrow in zip(left.rows, right.rows):
+                f.axpy_row(lrow, rrow, minus_one)
+                if lrow:
+                    rows.append(lrow)
     return rows
 
 
@@ -301,6 +300,7 @@ class ThetaComplex:
         self.system = system
         self.subspaces = subspaces
         self._image_rows_cache: dict[int, list[dict]] = {}
+        self._ranks: list[int] | None = None
 
     @property
     def max_degree(self) -> int:
@@ -312,29 +312,40 @@ class ThetaComplex:
     def dims(self) -> list[int]:
         return [s.dim for s in self.subspaces]
 
-    def boundary_image_rows(self, n: int) -> list[dict]:
+    def _boundaries(self) -> list:
+        """The ambient boundary matrix of each degree (index 0 unused)."""
+        return [None] + [self.system.boundary_matrix(n)
+                         for n in range(1, self.max_degree + 1)]
+
+    def boundary_image_rows(self, n: int, boundary: Matrix | None = None) -> list[dict]:
         """Ambient images of the basis under the boundary, one per basis row.
 
         All face candidates agree on the subcomplex, so the reference faces
-        compute the restricted boundary without choosing coordinates.
+        compute the restricted boundary without choosing coordinates.  The
+        ambient boundary is built here unless the caller passes it.
         """
         cached = self._image_rows_cache.get(n)
         if cached is None:
-            sysm = self.system
-            cached = [
-                sysm.apply_boundary(n, row)
-                for row in self.subspaces[n].basis.rows
-            ]
+            bnd = self.system.boundary_matrix(n) if boundary is None else boundary
+            cached = [bnd.apply_to_vec(row) for row in self.subspaces[n].basis.rows]
             self._image_rows_cache[n] = cached
         return cached
 
-    def check_boundary_squares_to_zero(self) -> None:
-        """Exact check that the boundary composes to zero, degree by degree."""
-        sysm = self.system
+    def check_boundary_squares_to_zero(self, boundaries: list | None = None) -> None:
+        """Exact check that the boundary composes to zero, degree by degree.
+
+        A degree is certified when the product of its two ambient boundaries
+        (``boundaries``, built here unless passed) is zero; otherwise the
+        product is applied to each basis row and the first one not killed
+        is reported.
+        """
+        bnd = self._boundaries() if boundaries is None else boundaries
         for n in range(2, self.max_degree + 1):
-            for idx, img in enumerate(self.boundary_image_rows(n)):
-                again = sysm.apply_boundary(n - 1, img)
-                if again:
+            square = bnd[n - 1].mul(bnd[n])
+            if square.is_zero():
+                continue
+            for idx, row in enumerate(self.subspaces[n].basis.rows):
+                if square.apply_to_vec(row):
                     raise InternalCheckError(
                         "boundary does not square to zero",
                         degree=n, basis_index=idx,
@@ -344,15 +355,21 @@ class ThetaComplex:
         """Per-degree dims, boundary ranks, and betti numbers.
 
         Degree N is excluded: under truncation the incoming boundary at the
-        top degree is unknown, so the report is valid up to N-1.
+        top degree is unknown, so the report is valid up to N-1.  The ranks
+        are computed once, with the boundary matrices held only meanwhile;
+        each call returns a fresh report.
         """
-        self.check_boundary_squares_to_zero()
         f = self.system.field
         n_max = self.max_degree
-        ranks = [0] * (n_max + 2)
-        for n in range(1, n_max + 1):
-            rows = self.boundary_image_rows(n)
-            ranks[n] = rank(Matrix.from_rows(f, self.system.dims[n - 1], rows))
+        if self._ranks is None:
+            bnd = self._boundaries()
+            self.check_boundary_squares_to_zero(bnd)
+            ranks = [0] * (n_max + 2)
+            for n in range(1, n_max + 1):
+                rows = self.boundary_image_rows(n, bnd[n])
+                ranks[n] = rank(Matrix(f, len(rows), self.system.dims[n - 1], rows))
+            self._ranks = ranks
+        ranks = self._ranks
         entries = []
         for n in range(n_max):
             dim_n = self.dim(n)
@@ -417,68 +434,48 @@ def validate_subcomplex(system: LambdaSystem, candidates: list[Subspace],
                 "candidate ambient mismatch",
                 degree=n, ambient=sub.ambient_dim, expected=system.dims[n],
             )
-    violations = []
+    found = list(islice(_violations(system, candidates), max(max_violations, 1)))
+    return {"valid": not found, "violations": found}
 
-    def record(v):
-        violations.append(v)
-        return len(violations) >= max_violations
 
-    done = False
+def _violations(system: LambdaSystem, candidates: list[Subspace]):
+    """Every violation of conditions (i)-(iii), in report order."""
     for n in range(1, system.max_degree + 1):
-        if done:
-            break
         basis = candidates[n].basis.rows
         for i in range(n + 1):
             labs = system.labels_at(n, i)
-            ref = labs[0]
             for idx, w in enumerate(basis):
-                base_img = system.apply_face(n, i, ref, w)
+                base_img = system.apply_face(n, i, labs[0], w)
                 for lab in labs[1:]:
                     if system.apply_face(n, i, lab, w) != base_img:
-                        done = record({
+                        yield {
                             "condition": "agreement", "degree": n,
                             "position": i, "candidate": label_json(lab),
                             "basis_index": idx,
-                        })
-                        if done:
-                            break
-                if done:
-                    break
+                        }
                 if not candidates[n - 1].contains(base_img):
-                    done = record({
+                    yield {
                         "condition": "closure", "degree": n,
                         "position": i, "basis_index": idx,
-                    })
-                    if done:
-                        break
-            if done:
-                break
-        if done:
-            break
-        if n >= 2:
-            for j in range(1, n + 1):
-                for i in range(j):
-                    for idx, w in enumerate(basis):
-                        left = system.apply_face(
-                            n - 1, i, system.reference_label(n - 1, i),
-                            system.apply_face(n, j, system.reference_label(n, j), w),
-                        )
-                        right = system.apply_face(
-                            n - 1, j - 1, system.reference_label(n - 1, j - 1),
-                            system.apply_face(n, i, system.reference_label(n, i), w),
-                        )
-                        if left != right:
-                            done = record({
-                                "condition": "identity", "degree": n,
-                                "positions": [i, j], "basis_index": idx,
-                            })
-                            if done:
-                                break
-                    if done:
-                        break
-                if done:
-                    break
-    return {"valid": not violations, "violations": violations}
+                    }
+        if n < 2:
+            continue
+        for j in range(1, n + 1):
+            for i in range(j):
+                for idx, w in enumerate(basis):
+                    left = system.apply_face(
+                        n - 1, i, system.reference_label(n - 1, i),
+                        system.apply_face(n, j, system.reference_label(n, j), w),
+                    )
+                    right = system.apply_face(
+                        n - 1, j - 1, system.reference_label(n - 1, j - 1),
+                        system.apply_face(n, i, system.reference_label(n, i), w),
+                    )
+                    if left != right:
+                        yield {
+                            "condition": "identity", "degree": n,
+                            "positions": [i, j], "basis_index": idx,
+                        }
 
 
 def subcomplex_sum(system: LambdaSystem, a: list[Subspace],

@@ -50,6 +50,25 @@ def rank_dense(rows) -> int:
     return len(rref_dense(rows)[0])
 
 
+def rank_dense_mod(rows, p: int) -> int:
+    """Rank of a list of int lists over the field with p elements."""
+    mat = [[x % p for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c] * inv % p
+            if f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
 def kernel_dense(rows, ncols):
     """Basis of the right null space, rows as Fraction lists."""
     red, pivots = rref_dense(rows)

@@ -206,6 +206,38 @@ def test_malformed_integer_in_spec_exits_1(tmp_path, field, value):
     assert body["details"]["entry"] == entry
 
 
+@pytest.mark.parametrize("where, value, named, entry", [
+    ("algebra", 5, "algebra", 5),
+    ("bimodule", 5, "bimodule", 5),
+    ("mult", 5, "mult", 5),
+    ("unit", 5, "unit", 5),
+    ("table", 5, "Cayley table", 5),
+    ("table", [[0, "1"], [1, 0]], "Cayley table entry", "1"),
+], ids=["algebra-int", "bimodule-int", "mult-int", "unit-int", "table-int",
+        "table-string-entry"])
+def test_malformed_spec_value_exits_1(tmp_path, where, value, named, entry):
+    spec = {
+        "construction": "hochschild",
+        "algebra": {"dim": 1, "unit": ["1"], "mult": [[0, 0, 0, "1"]]},
+        "max_degree": 2,
+    }
+    if where in ("algebra", "bimodule"):
+        spec[where] = value
+    elif where == "table":
+        spec["algebra"] = {"builtin": "group_algebra", "table": value}
+    else:
+        spec["algebra"][where] = value
+    path = tmp_path / "bad_value.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli(["homology", str(path)])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert named in body["message"]
+    assert body["details"]["entry"] == entry
+
+
 def test_usage_error_exits_1():
     r = run_cli(["homology"])
     assert r.returncode == 1

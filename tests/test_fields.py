@@ -21,6 +21,22 @@ def test_is_prime_small_values():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def test_is_prime_matches_trial_division_below_200000():
+    small = [d for d in range(2, 448) if all(d % q for q in range(2, d))]
+
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in small if d * d <= n)
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(200_000))
+
+
+def test_is_prime_large_values():
+    assert is_prime(2147483647) and is_prime(2147483629)
+    # strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, ..., 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
 def test_rationals_parse_and_fmt_round_trip():
     q = Rationals()
     for s in ["0", "1", "-3", "2/3", "-7/5", "10/4"]:

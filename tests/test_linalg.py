@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from lambda_homology.errors import ValidationError
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
+    DENSE_THRESHOLD,
     Matrix,
     Subspace,
     image,
-    intersect,
     kernel_of_rows,
     kernel_of_rows_raw,
     preimage_constraint,
@@ -27,6 +27,7 @@ from oracles import (
     matvec_dense,
     member_dense,
     rank_dense,
+    rank_dense_mod,
     rref_dense,
 )
 
@@ -191,12 +192,72 @@ def test_int_and_fraction_entries_agree(m, threshold):
     """
     assert all(type(v) is int for row in m.rows for v in row.values())
     as_frac = [{c: Fraction(v) for c, v in row.items()} for row in m.rows]
-    assert (rref(Q, m.rows, m.ncols, dense_threshold=threshold)
+    # rref eliminates the rows it is handed in place, so it gets copies
+    assert (rref(Q, [dict(r) for r in m.rows], m.ncols, dense_threshold=threshold)
             == rref(Q, as_frac, m.ncols, dense_threshold=threshold))
     k_int = kernel_of_rows(Q, m.rows, m.ncols)
     k_frac = kernel_of_rows(Q, as_frac, m.ncols)
     assert k_int == k_frac
     assert k_int.to_json() == k_frac.to_json()
+
+
+F_BIG = PrimeField(2147483629)
+
+
+@st.composite
+def shaped_matrix(draw):
+    """A tall or wide matrix over Q, F_7 or F_2147483629, filled either at
+    most ``DENSE_THRESHOLD`` or above it."""
+    field = draw(st.sampled_from([Q, F7, F_BIG]))
+    short = draw(st.integers(1, 5))
+    long = draw(st.integers(short + 1, 10))
+    nrows, ncols = (long, short) if draw(st.booleans()) else (short, long)
+    cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+    quarter = max(1, int(DENSE_THRESHOLD * len(cells)))
+    if draw(st.booleans()):
+        count = draw(st.integers(1, quarter))
+    else:
+        count = draw(st.integers(min(quarter + 1, len(cells)), len(cells)))
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=count,
+                           max_size=count, unique=True))
+    if field is Q:
+        values = st.integers(-4, 4).filter(bool)
+    else:
+        values = st.integers(1, field.p - 1)
+    entries = [(r, c, field.from_int(draw(values))) for r, c in chosen]
+    return Matrix.from_entries(field, nrows, ncols, entries)
+
+
+@given(shaped_matrix())
+def test_rank_does_not_depend_on_orientation(m):
+    dense = m.to_dense()
+    if m.field.kind == "Q":
+        expect = rank_dense([[Fraction(x) for x in row] for row in dense])
+    else:
+        expect = rank_dense_mod(dense, m.field.p)
+    assert rank(m) == rank(m.transpose()) == expect
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("dense", [
+    # 4 x 3, filled above DENSE_THRESHOLD
+    [[2, 4, 1], [1, 2, 3], [3, 6, 4], [0, 0, 5]],
+    # 5 x 10, filled below it; pivots other than 1 and shared columns
+    [[2, 1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 3, 0, 0, 0, 0, 0, 0, 0, 0],
+     [0, 0, 2, 4, 0, 0, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0, 0, 0, 0, 0],
+     [0, 0, 0, 0, 3, 0, 0, 0, 0, 0]],
+], ids=["dense", "sparse"])
+def test_eliminations_leave_callers_rows_unchanged(field, dense):
+    m = Matrix.from_dense(field, [[field.from_int(x) for x in row] for row in dense])
+    rows = [dict(r) for r in m.rows]
+    before = [dict(r) for r in rows]
+    rank(m)
+    rank(m.transpose())
+    rank_and_kernel(m)
+    kernel_of_rows(field, rows, m.ncols)
+    Subspace.from_vectors(field, m.ncols, rows)
+    assert m.rows == before
+    assert rows == before
 
 
 @given(q_vectors())

@@ -7,13 +7,15 @@ import pytest
 from lambda_homology.algebras import Bimodule
 from lambda_homology.config import DEFAULT_CAPS
 from lambda_homology.constructions import hochschild_system, higher_hochschild_system
-from lambda_homology.errors import ResourceCapError, ValidationError
+from lambda_homology.errors import InternalCheckError, ResourceCapError, ValidationError
 from lambda_homology.fields import Rationals
 from lambda_homology.linalg import Matrix, Subspace
 from lambda_homology.simplicial import circle
+from lambda_homology import systems
 from lambda_homology.systems import (
     LambdaMorphism,
     LambdaSystem,
+    ThetaComplex,
     check_lambda_morphism,
     compute_theta,
     homology_quotients,
@@ -179,6 +181,61 @@ def test_boundary_squares_to_zero_on_theta(upper):
     for x in range(csys.dims[2]):
         img = csys.apply_boundary(2, {x: Q.one})
         assert csys.apply_boundary(1, img) == {}
+
+
+# Dims (1, 1, 2, 3).  d_0 = d_1 in degree 1 and only d_0 is nonzero in
+# degrees 2 and 3, so the boundaries are 0, [1 0] and [[0 1 1], [0 0 0]]:
+# d d vanishes in degree 2, and in degree 3 it is [0 1 1], which kills e0
+# and e1 - e2 but not e1.  No subcomplex computation is involved; the
+# "theta" below is chosen by hand.
+
+
+def _broken_square_theta(top_basis):
+    z12, z23 = Matrix.zeros(Q, 1, 2), Matrix.zeros(Q, 2, 3)
+    faces = {
+        (1, 0): Matrix.identity(Q, 1), (1, 1): Matrix.identity(Q, 1),
+        (2, 0): Matrix.from_dense(Q, [[1, 0]]), (2, 1): z12, (2, 2): z12,
+        (3, 0): Matrix.from_dense(Q, [[0, 1, 1], [0, 0, 0]]),
+        (3, 1): z23, (3, 2): z23, (3, 3): z23,
+    }
+    sys_ = trivial_system(Q, (1, 1, 2, 3), faces)
+    subspaces = [Subspace.full(Q, 1), Subspace.full(Q, 1), Subspace.full(Q, 2),
+                 Subspace.from_vectors(Q, 3, top_basis)]
+    return ThetaComplex(sys_, subspaces)
+
+
+def test_boundary_square_failure_names_degree_and_basis_row():
+    theta = _broken_square_theta([{0: Q.one}, {1: Q.one}])
+    for check in (theta.check_boundary_squares_to_zero, theta.homology):
+        with pytest.raises(InternalCheckError) as info:
+            check()
+        assert info.value.message == "boundary does not square to zero"
+        assert info.value.details == {"degree": 3, "basis_index": 1}
+
+
+def test_nonzero_square_is_fine_on_a_subspace_it_kills():
+    theta = _broken_square_theta([{0: Q.one}, {1: Q.one, 2: -Q.one}])
+    theta.check_boundary_squares_to_zero()
+    rep = theta.homology()
+    assert [e["rank_d_n"] for e in rep["entries"]] == [0, 0, 1]
+    assert theta.betti() == [1, 0, 1]
+
+
+def test_homology_is_computed_once(dual, monkeypatch):
+    theta = compute_theta(
+        higher_hochschild_system(dual, Bimodule.regular(dual), circle(3)))
+    calls = []
+    real_rank = systems.rank
+    monkeypatch.setattr(systems, "rank", lambda m: calls.append(m) or real_rank(m))
+    first = theta.homology()
+    assert len(calls) == 3
+    first["theta"] = {"changed": True}
+    first["entries"][0]["betti"] = -1
+    second = theta.homology()
+    assert len(calls) == 3
+    assert "theta" not in second and second["entries"][0]["betti"] != -1
+    assert theta.betti() == [e["betti"] for e in second["entries"]]
+    assert len(calls) == 3
 
 
 def test_homology_quotients_classify_cycles(dual):
