@@ -427,7 +427,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim: int, vectors: Sequence[dict]) -> "Subspace":
-        rows, pivots = rref(field, [dict(v) for v in vectors], ambient_dim, full=True)
+        rows, pivots = rref(field, [dict(v) for v in vectors if v], ambient_dim, full=True)
         return cls._from_rref(field, ambient_dim, rows, pivots)
 
     @classmethod
@@ -599,7 +599,7 @@ class Subspace:
 
 def rank_and_kernel(m: Matrix) -> tuple[int, Subspace]:
     """Rank and kernel of a matrix acting on column vectors."""
-    rows, pivots = rref(m.field, [dict(r) for r in m.rows], m.ncols, full=True)
+    rows, pivots = rref(m.field, [dict(r) for r in m.rows if r], m.ncols, full=True)
     kernel_rows = kernel_rows_from_rref(m.field, rows, pivots, m.ncols)
     return len(pivots), Subspace.from_vectors(m.field, m.ncols, kernel_rows)
 
@@ -609,14 +609,14 @@ def rank(m: Matrix) -> int:
     if m.nrows > m.ncols:
         rows, ncols = m.transpose().rows, m.nrows
     else:
-        rows, ncols = [dict(r) for r in m.rows], m.ncols
+        rows, ncols = [dict(r) for r in m.rows if r], m.ncols
     _, pivots = rref(m.field, rows, ncols, full=False)
     return len(pivots)
 
 
 def kernel_of_rows(field, rows: Sequence[dict], ncols: int) -> Subspace:
     """Kernel of the linear map whose matrix has the given rows."""
-    rr, pivots = rref(field, [dict(r) for r in rows], ncols, full=True)
+    rr, pivots = rref(field, [dict(r) for r in rows if r], ncols, full=True)
     return Subspace.from_vectors(
         field, ncols, kernel_rows_from_rref(field, rr, pivots, ncols)
     )

@@ -24,8 +24,6 @@ optional restricted matrices, since their bases can be large.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .config import DEFAULT_CAPS
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .linalg import (
@@ -312,61 +310,70 @@ class ThetaComplex:
     def dims(self) -> list[int]:
         return [s.dim for s in self.subspaces]
 
-    def _boundaries(self) -> list:
-        """The ambient boundary matrix of each degree (index 0 unused)."""
-        return [None] + [self.system.boundary_matrix(n)
-                         for n in range(1, self.max_degree + 1)]
-
     def boundary_image_rows(self, n: int, boundary: Matrix | None = None) -> list[dict]:
         """Ambient images of the basis under the boundary, one per basis row.
 
         All face candidates agree on the subcomplex, so the reference faces
         compute the restricted boundary without choosing coordinates.  The
-        ambient boundary is built here unless the caller passes it.
+        ambient boundary is built here unless the caller passes it; its
+        transpose, which applies it to every row at once, is not kept.
         """
         cached = self._image_rows_cache.get(n)
         if cached is None:
             bnd = self.system.boundary_matrix(n) if boundary is None else boundary
-            cached = [bnd.apply_to_vec(row) for row in self.subspaces[n].basis.rows]
+            cached = self.subspaces[n].basis.mul(bnd.transpose()).rows
             self._image_rows_cache[n] = cached
         return cached
 
-    def check_boundary_squares_to_zero(self, boundaries: list | None = None) -> None:
-        """Exact check that the boundary composes to zero, degree by degree.
+    def _boundaries(self):
+        """Yield each degree with its ambient boundary, after checking that
+        the boundary below composes with it to zero; two are held at a time."""
+        lower = None
+        for n in range(1, self.max_degree + 1):
+            upper = self.system.boundary_matrix(n)
+            if lower is not None:
+                self.check_boundary_squares_to_zero(n, lower, upper)
+            lower = upper
+            yield n, upper
 
-        A degree is certified when the product of its two ambient boundaries
-        (``boundaries``, built here unless passed) is zero; otherwise the
-        product is applied to each basis row and the first one not killed
-        is reported.
+    def check_boundary_squares_to_zero(self, n: int | None = None,
+                                       lower: Matrix | None = None,
+                                       upper: Matrix | None = None) -> None:
+        """Exact check that the boundary composes to zero: in degree ``n``
+        from its ambient boundary ``upper`` and the one below, ``lower``, or
+        in every degree when called without arguments.
+
+        A zero product certifies the degree; otherwise the product is
+        applied to each basis row and the first one not killed is reported.
         """
-        bnd = self._boundaries() if boundaries is None else boundaries
-        for n in range(2, self.max_degree + 1):
-            square = bnd[n - 1].mul(bnd[n])
-            if square.is_zero():
-                continue
-            for idx, row in enumerate(self.subspaces[n].basis.rows):
-                if square.apply_to_vec(row):
-                    raise InternalCheckError(
-                        "boundary does not square to zero",
-                        degree=n, basis_index=idx,
-                    )
+        if n is None:
+            for _ in self._boundaries():
+                pass
+            return
+        square = lower.mul(upper)
+        if square.is_zero():
+            return
+        for idx, row in enumerate(self.subspaces[n].basis.rows):
+            if square.apply_to_vec(row):
+                raise InternalCheckError(
+                    "boundary does not square to zero",
+                    degree=n, basis_index=idx,
+                )
 
     def homology(self) -> dict:
         """Per-degree dims, boundary ranks, and betti numbers.
 
         Degree N is excluded: under truncation the incoming boundary at the
         top degree is unknown, so the report is valid up to N-1.  The ranks
-        are computed once, with the boundary matrices held only meanwhile;
-        each call returns a fresh report.
+        are computed once, degree by degree as ``_boundaries`` yields the
+        boundaries; each call returns a fresh report.
         """
         f = self.system.field
         n_max = self.max_degree
         if self._ranks is None:
-            bnd = self._boundaries()
-            self.check_boundary_squares_to_zero(bnd)
             ranks = [0] * (n_max + 2)
-            for n in range(1, n_max + 1):
-                rows = self.boundary_image_rows(n, bnd[n])
+            for n, bnd in self._boundaries():
+                rows = self.boundary_image_rows(n, bnd)
                 ranks[n] = rank(Matrix(f, len(rows), self.system.dims[n - 1], rows))
             self._ranks = ranks
         ranks = self._ranks
@@ -434,48 +441,68 @@ def validate_subcomplex(system: LambdaSystem, candidates: list[Subspace],
                 "candidate ambient mismatch",
                 degree=n, ambient=sub.ambient_dim, expected=system.dims[n],
             )
-    found = list(islice(_violations(system, candidates), max(max_violations, 1)))
-    return {"valid": not found, "violations": found}
+    violations = []
 
+    def record(v):
+        violations.append(v)
+        return len(violations) >= max_violations
 
-def _violations(system: LambdaSystem, candidates: list[Subspace]):
-    """Every violation of conditions (i)-(iii), in report order."""
+    done = False
     for n in range(1, system.max_degree + 1):
+        if done:
+            break
         basis = candidates[n].basis.rows
         for i in range(n + 1):
             labs = system.labels_at(n, i)
+            ref = labs[0]
             for idx, w in enumerate(basis):
-                base_img = system.apply_face(n, i, labs[0], w)
+                base_img = system.apply_face(n, i, ref, w)
                 for lab in labs[1:]:
                     if system.apply_face(n, i, lab, w) != base_img:
-                        yield {
+                        done = record({
                             "condition": "agreement", "degree": n,
                             "position": i, "candidate": label_json(lab),
                             "basis_index": idx,
-                        }
+                        })
+                        if done:
+                            break
+                if done:
+                    break
                 if not candidates[n - 1].contains(base_img):
-                    yield {
+                    done = record({
                         "condition": "closure", "degree": n,
                         "position": i, "basis_index": idx,
-                    }
-        if n < 2:
-            continue
-        for j in range(1, n + 1):
-            for i in range(j):
-                for idx, w in enumerate(basis):
-                    left = system.apply_face(
-                        n - 1, i, system.reference_label(n - 1, i),
-                        system.apply_face(n, j, system.reference_label(n, j), w),
-                    )
-                    right = system.apply_face(
-                        n - 1, j - 1, system.reference_label(n - 1, j - 1),
-                        system.apply_face(n, i, system.reference_label(n, i), w),
-                    )
-                    if left != right:
-                        yield {
-                            "condition": "identity", "degree": n,
-                            "positions": [i, j], "basis_index": idx,
-                        }
+                    })
+                    if done:
+                        break
+            if done:
+                break
+        if done:
+            break
+        if n >= 2:
+            for j in range(1, n + 1):
+                for i in range(j):
+                    for idx, w in enumerate(basis):
+                        left = system.apply_face(
+                            n - 1, i, system.reference_label(n - 1, i),
+                            system.apply_face(n, j, system.reference_label(n, j), w),
+                        )
+                        right = system.apply_face(
+                            n - 1, j - 1, system.reference_label(n - 1, j - 1),
+                            system.apply_face(n, i, system.reference_label(n, i), w),
+                        )
+                        if left != right:
+                            done = record({
+                                "condition": "identity", "degree": n,
+                                "positions": [i, j], "basis_index": idx,
+                            })
+                            if done:
+                                break
+                    if done:
+                        break
+                if done:
+                    break
+    return {"valid": not violations, "violations": violations}
 
 
 def subcomplex_sum(system: LambdaSystem, a: list[Subspace],

@@ -118,7 +118,8 @@ def test_ambient_mismatch_raises():
 
 def test_kernel_raw_matches_canonical():
     rows = [vec_sparse(Q, [1, 1, 0, 0]), vec_sparse(Q, [0, 1, 1, 0])]
-    raw = kernel_of_rows_raw(Q, rows, 4)
+    # kernel_of_rows_raw eliminates the rows it is handed, so it gets copies
+    raw = kernel_of_rows_raw(Q, [dict(r) for r in rows], 4)
     canon = kernel_of_rows(Q, rows, 4)
     assert raw == canon
     assert raw.dim == 2
@@ -192,9 +193,11 @@ def test_int_and_fraction_entries_agree(m, threshold):
     """
     assert all(type(v) is int for row in m.rows for v in row.values())
     as_frac = [{c: Fraction(v) for c, v in row.items()} for row in m.rows]
-    # rref eliminates the rows it is handed in place, so it gets copies
+    # rref eliminates the rows it is handed in place, so both sides hand it
+    # copies and the kernels below see the original rows
     assert (rref(Q, [dict(r) for r in m.rows], m.ncols, dense_threshold=threshold)
-            == rref(Q, as_frac, m.ncols, dense_threshold=threshold))
+            == rref(Q, [dict(r) for r in as_frac], m.ncols,
+                    dense_threshold=threshold))
     k_int = kernel_of_rows(Q, m.rows, m.ncols)
     k_frac = kernel_of_rows(Q, as_frac, m.ncols)
     assert k_int == k_frac
