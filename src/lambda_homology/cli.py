@@ -552,12 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness elements file with dense 'e' and 'm'/'f'")
     p.add_argument("--theta-degree", type=int, default=None,
                    help="check membership directly up to this degree")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--cap-dim", type=int, default=None)
-    p.add_argument("--cap-index", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    _add_common(p, spec_positional=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("compare", help="compare two systems face by face")
@@ -565,12 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", help="right system spec")
     p.add_argument("--betti", action="store_true",
                    help="also compare homology tables")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--cap-dim", type=int, default=None)
-    p.add_argument("--cap-index", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    _add_common(p, spec_positional=False)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("circle", help="emit the built-in circle model")

@@ -14,7 +14,6 @@ kernels the elimination code runs hot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import ValidationError, spec_ints
 
@@ -34,12 +33,10 @@ _MR_BOUND = 318665857834031151167461
 
 
 def is_prime(p: int) -> bool:
-    """Exact: deterministic Miller-Rabin below ``_MR_BOUND``, trial
-    division from it on."""
+    """Deterministic Miller-Rabin, exact for every p below ``_MR_BOUND``;
+    ``PrimeField`` rejects any p from the bound on before calling it."""
     if p < 2 or any(p % q == 0 for q in _MR_BASES):
         return p in _MR_BASES
-    if p >= _MR_BOUND:
-        return all(p % d for d in range(41, isqrt(p) + 1, 2))
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -147,6 +144,11 @@ class PrimeField:
     kind = "Fp"
 
     def __init__(self, p: int):
+        if p >= _MR_BOUND:
+            raise ValidationError(
+                f"{p} is not below {_MR_BOUND}, where the exact primality test stops",
+                p=p, bound=_MR_BOUND,
+            )
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime", p=p)
         self.p = p

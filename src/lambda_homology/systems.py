@@ -13,9 +13,9 @@ stacked linear system per degree:
 * closure rows:     (projector killing the lower subspace) . d_i^ref;
 * identity rows:    d_i^ref d_j^ref - d_{j-1}^ref d_i^ref for i < j.
 
-Any vector satisfying all three conditions lies in the computed space and
-conversely, which is the fixed-point characterization the probe in
-``maximality_probe`` re-checks vector by vector.
+``_condition_blocks`` builds these rows block by block for both
+``compute_theta`` and ``maximality_probe``; the probe reads the first block
+each excluded unit vector breaks off the column supports of the blocks.
 
 Boundary ranks, homology, and induced maps are computed against ambient
 coordinates wherever possible; subcomplex coordinates appear only in the
@@ -23,6 +23,8 @@ optional restricted matrices, since their bases can be large.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .config import DEFAULT_CAPS
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -211,11 +213,18 @@ def trivial_system(field, dims, face_matrices: dict, label: str = "") -> LambdaS
 # ---------------------------------------------------------------------------
 
 
-def _agreement_rows(system: LambdaSystem, n: int) -> list[dict]:
-    """Difference rows d_i^a - d_i^ref, stacked deterministically."""
+def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace):
+    """Yield ``(reason, rows)`` for each block of conditions in degree n.
+
+    The rows of a block vanish on a vector exactly when it satisfies that
+    condition, so a unit vector e_f breaks the block exactly when column f
+    of its rows is nonzero.  Blocks come in a fixed order: agreement
+    d_i^a - d_i^ref by (i, candidate), then closure (projector killing
+    ``lower``) . d_i^ref by i, then identities d_i d_j - d_{j-1} d_i on
+    reference faces by (j, i).
+    """
     f = system.field
-    rows = []
-    amb = system.dims[n]
+    minus_one = f.neg(f.one)
     for i in range(n + 1):
         labs = system.labels_at(n, i)
         if len(labs) == 1:
@@ -223,38 +232,26 @@ def _agreement_rows(system: LambdaSystem, n: int) -> list[dict]:
         refmat = system.face_matrix(n, i)
         for lab in labs[1:]:
             by_target: dict[int, dict] = {}
-            for x in range(amb):
+            for x in range(system.dims[n]):
                 cand = system.column_fn(n, i, lab, x)
                 base = refmat.column(x)
                 if cand == base:
                     continue
                 diff = dict(cand)
-                f.axpy_row(diff, base, f.neg(f.one))
+                f.axpy_row(diff, base, minus_one)
                 for r, v in diff.items():
                     by_target.setdefault(r, {})[x] = v
-            rows.extend(by_target[r] for r in sorted(by_target))
-    return rows
-
-
-def _closure_rows(system: LambdaSystem, n: int, lower: Subspace) -> list[dict]:
-    """Rows expressing that every reference face image stays in ``lower``."""
-    if lower.is_full:
-        return []
-    proj = lower.complement_projector()
-    rows = []
-    for i in range(n + 1):
-        prod = proj.mul(system.face_matrix(n, i))
-        rows.extend(r for r in prod.rows if r)
-    return rows
-
-
-def _identity_rows(system: LambdaSystem, n: int) -> list[dict]:
-    """Rows of d_i d_j - d_{j-1} d_i on reference faces, for i < j."""
+            yield ({"condition": "agreement", "position": i,
+                    "candidate": label_json(lab)},
+                   [by_target[r] for r in sorted(by_target)])
+    if not lower.is_full:
+        proj = lower.complement_projector()
+        for i in range(n + 1):
+            prod = proj.mul(system.face_matrix(n, i))
+            yield {"condition": "closure", "position": i}, [r for r in prod.rows if r]
+        del proj, prod  # not kept alive through the identity products
     if n < 2:
-        return []
-    f = system.field
-    minus_one = f.neg(f.one)
-    rows = []
+        return
     for j in range(1, n + 1):
         upper_j = system.face_matrix(n, j)
         for i in range(j):
@@ -264,9 +261,7 @@ def _identity_rows(system: LambdaSystem, n: int) -> list[dict]:
                 continue
             for lrow, rrow in zip(left.rows, right.rows):
                 f.axpy_row(lrow, rrow, minus_one)
-                if lrow:
-                    rows.append(lrow)
-    return rows
+            yield {"condition": "identity", "positions": [i, j]}, [r for r in left.rows if r]
 
 
 def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS) -> "ThetaComplex":
@@ -281,9 +276,8 @@ def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS) -> "ThetaComplex":
     subspaces = [Subspace.full(f, system.dims[0])]
     for n in range(1, system.max_degree + 1):
         amb = system.dims[n]
-        rows = _agreement_rows(system, n)
-        rows += _closure_rows(system, n, subspaces[n - 1])
-        rows += _identity_rows(system, n)
+        rows = [r for _, block in _condition_blocks(system, n, subspaces[n - 1])
+                for r in block]
         if rows:
             subspaces.append(kernel_of_rows_raw(f, rows, amb))
         else:
@@ -422,13 +416,12 @@ class ThetaComplex:
 # ---------------------------------------------------------------------------
 
 
-def validate_subcomplex(system: LambdaSystem, candidates: list[Subspace],
-                        max_violations: int = 10) -> dict:
+def validate_subcomplex(system: LambdaSystem, candidates: list[Subspace]) -> dict:
     """Check conditions (i)-(iii) on candidate subspaces, vector by vector.
 
     The report is empty exactly when the candidate is a genuine subcomplex;
-    otherwise it lists the first violations found, in condition order, with
-    the offending degree, positions, and basis index.
+    otherwise it lists the first ten violations, in the order of
+    ``_violations``, with the offending degree, positions, and basis index.
     """
     if len(candidates) != system.max_degree + 1:
         raise ValidationError(
@@ -441,68 +434,43 @@ def validate_subcomplex(system: LambdaSystem, candidates: list[Subspace],
                 "candidate ambient mismatch",
                 degree=n, ambient=sub.ambient_dim, expected=system.dims[n],
             )
-    violations = []
+    violations = list(islice(_violations(system, candidates), 10))
+    return {"valid": not violations, "violations": violations}
 
-    def record(v):
-        violations.append(v)
-        return len(violations) >= max_violations
 
-    done = False
+def _violations(system: LambdaSystem, candidates: list[Subspace]):
+    """Each condition a candidate basis vector breaks, in report order: per
+    degree, by position and basis index the agreement candidates and then
+    closure, after them the identities by (j, i, basis index).
+
+    Faces are applied to each vector, never built as matrices, since
+    witness spans live in ambients far too large for that.
+    """
+    def ref(n, i, vec):
+        return system.apply_face(n, i, system.reference_label(n, i), vec)
+
     for n in range(1, system.max_degree + 1):
-        if done:
-            break
         basis = candidates[n].basis.rows
         for i in range(n + 1):
             labs = system.labels_at(n, i)
-            ref = labs[0]
             for idx, w in enumerate(basis):
-                base_img = system.apply_face(n, i, ref, w)
+                base_img = ref(n, i, w)
                 for lab in labs[1:]:
                     if system.apply_face(n, i, lab, w) != base_img:
-                        done = record({
-                            "condition": "agreement", "degree": n,
-                            "position": i, "candidate": label_json(lab),
-                            "basis_index": idx,
-                        })
-                        if done:
-                            break
-                if done:
-                    break
+                        yield {"condition": "agreement", "degree": n,
+                               "position": i, "candidate": label_json(lab),
+                               "basis_index": idx}
                 if not candidates[n - 1].contains(base_img):
-                    done = record({
-                        "condition": "closure", "degree": n,
-                        "position": i, "basis_index": idx,
-                    })
-                    if done:
-                        break
-            if done:
-                break
-        if done:
-            break
-        if n >= 2:
-            for j in range(1, n + 1):
-                for i in range(j):
-                    for idx, w in enumerate(basis):
-                        left = system.apply_face(
-                            n - 1, i, system.reference_label(n - 1, i),
-                            system.apply_face(n, j, system.reference_label(n, j), w),
-                        )
-                        right = system.apply_face(
-                            n - 1, j - 1, system.reference_label(n - 1, j - 1),
-                            system.apply_face(n, i, system.reference_label(n, i), w),
-                        )
-                        if left != right:
-                            done = record({
-                                "condition": "identity", "degree": n,
-                                "positions": [i, j], "basis_index": idx,
-                            })
-                            if done:
-                                break
-                    if done:
-                        break
-                if done:
-                    break
-    return {"valid": not violations, "violations": violations}
+                    yield {"condition": "closure", "degree": n,
+                           "position": i, "basis_index": idx}
+        if n < 2:
+            continue
+        for j in range(1, n + 1):
+            for i in range(j):
+                for idx, w in enumerate(basis):
+                    if ref(n - 1, i, ref(n, j, w)) != ref(n - 1, j - 1, ref(n, i, w)):
+                        yield {"condition": "identity", "degree": n,
+                               "positions": [i, j], "basis_index": idx}
 
 
 def subcomplex_sum(system: LambdaSystem, a: list[Subspace],
@@ -570,12 +538,12 @@ class LambdaMorphism:
         return LambdaMorphism(earlier.source, self.target, mats, label=label)
 
 
-def check_lambda_morphism(mor: LambdaMorphism, max_failures: int = 5) -> dict:
+def check_lambda_morphism(mor: LambdaMorphism) -> dict:
     """Certify the intertwining property, recording the matched candidates.
 
     For each degree, position, and target candidate the first source
     candidate achieving matrix equality is recorded; failures list target
-    candidates with no match.
+    candidates with no match, and the check stops at the fifth.
     """
     assignments = []
     failures = []
@@ -599,7 +567,7 @@ def check_lambda_morphism(mor: LambdaMorphism, max_failures: int = 5) -> dict:
                     failures.append({
                         "degree": n, "position": i, "target_candidate": label_json(alpha),
                     })
-                    if len(failures) >= max_failures:
+                    if len(failures) == 5:
                         return {"ok": False, "assignments": assignments,
                                 "failures": failures}
                 else:
@@ -732,29 +700,28 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
 
 
 def maximality_probe(theta: ThetaComplex) -> dict:
-    """Certify maximality per degree, vector by vector.
+    """Certify maximality per degree from the condition blocks.
 
-    Every standard basis vector of a complement of the computed subspace
-    must violate agreement, closure, or an identity; and re-running the
-    fixed-point computation must reproduce the subspaces verbatim.
+    Every standard basis vector e_f of a complement of the computed subspace
+    must violate agreement, closure, or an identity: e_f breaks the first
+    block of ``_condition_blocks`` whose rows are nonzero in column f, so
+    one pass over the blocks names the reason of every f.  Re-running the
+    fixed-point computation must also reproduce the subspaces verbatim.
     """
     system = theta.system
     report = {"degrees": [], "recomputation_identical": None}
     for n in range(1, system.max_degree + 1):
-        sub = theta.subspaces[n]
-        entries = []
-        for fcoord in sub.complement_free_coords():
-            probe = {fcoord: system.field.one}
-            reason = _first_violation(system, theta, n, probe)
-            entries.append({
-                "coordinate": fcoord,
-                "violates": reason,
-            })
-        bad = [e for e in entries if e["violates"] is None]
+        first: dict = {}
+        for reason, rows in _condition_blocks(system, n, theta.subspaces[n - 1]):
+            for row in rows:
+                for c in row:
+                    first.setdefault(c, reason)
+        entries = [{"coordinate": fc, "violates": first.get(fc)}
+                   for fc in theta.subspaces[n].complement_free_coords()]
         report["degrees"].append({
             "n": n,
             "complement_dim": len(entries),
-            "all_violate": not bad,
+            "all_violate": all(e["violates"] for e in entries),
             "entries": entries,
         })
     again = compute_theta(system)
@@ -765,33 +732,3 @@ def maximality_probe(theta: ThetaComplex) -> dict:
         d["all_violate"] for d in report["degrees"]
     )
     return report
-
-
-def _first_violation(system: LambdaSystem, theta: ThetaComplex, n: int,
-                     vec: dict):
-    """Which staged condition the vector breaks, if any."""
-    for i in range(n + 1):
-        labs = system.labels_at(n, i)
-        ref_img = system.apply_face(n, i, labs[0], vec)
-        for lab in labs[1:]:
-            if system.apply_face(n, i, lab, vec) != ref_img:
-                return {"condition": "agreement", "position": i,
-                        "candidate": label_json(lab)}
-    for i in range(n + 1):
-        img = system.apply_face(n, i, system.reference_label(n, i), vec)
-        if not theta.subspaces[n - 1].contains(img):
-            return {"condition": "closure", "position": i}
-    if n >= 2:
-        for j in range(1, n + 1):
-            for i in range(j):
-                left = system.apply_face(
-                    n - 1, i, system.reference_label(n - 1, i),
-                    system.apply_face(n, j, system.reference_label(n, j), vec),
-                )
-                right = system.apply_face(
-                    n - 1, j - 1, system.reference_label(n - 1, j - 1),
-                    system.apply_face(n, i, system.reference_label(n, i), vec),
-                )
-                if left != right:
-                    return {"condition": "identity", "positions": [i, j]}
-    return None

@@ -11,7 +11,7 @@ import pytest
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(args, threads=None, cwd=None):
+def run_cli(args, threads=None, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
     env.pop("LAMBDA_HOMOLOGY_THREADS", None)
@@ -20,6 +20,7 @@ def run_cli(args, threads=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "lambda_homology", *args],
         capture_output=True, text=True, env=env, cwd=cwd or PKG_ROOT,
+        timeout=timeout,
     )
 
 
@@ -173,6 +174,30 @@ def test_bad_prime_field_literal_exits_1(tmp_path, literal):
     assert body["error"] == "ValidationError"
     assert body["details"]["literal"] == literal
     assert repr(literal) in body["message"]
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_prime_beyond_exact_test_exits_1(specs, tmp_path, where):
+    # 2^89 - 1 is prime; the bound itself is composite.  Both lie beyond the
+    # range where primality is decided exactly, and both are refused at once.
+    if where == "flag":
+        p = 618970019642690137449562111
+        args = ["homology", specs["dual_classical"], "--field", f"fp:{p}"]
+    else:
+        p = 318665857834031151167461
+        spec = tmp_path / "big_prime.json"
+        spec.write_text(json.dumps({
+            "construction": "hochschild", "field": {"kind": "Fp", "p": p},
+            "algebra": {"builtin": "truncated_polynomial", "order": 2},
+            "max_degree": 2,
+        }))
+        args = ["homology", str(spec)]
+    r = run_cli(args, timeout=60)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert body["details"] == {"p": p, "bound": 318665857834031151167461}
 
 
 @pytest.mark.parametrize("field, value", [

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from lambda_homology.errors import ValidationError
 from lambda_homology.fields import (
+    _MR_BOUND,
     PrimeField,
     Rationals,
     field_from_json,
@@ -35,6 +36,14 @@ def test_is_prime_large_values():
     # strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, ..., 23
     assert not is_prime(3215031751)
     assert not is_prime(3825123056546413051)
+
+
+def test_prime_field_refuses_p_beyond_the_exact_test():
+    assert PrimeField(_MR_BOUND - 20).p == _MR_BOUND - 20  # the largest prime below
+    for p in (_MR_BOUND, 2**89 - 1):
+        with pytest.raises(ValidationError) as err:
+            PrimeField(p)
+        assert err.value.details == {"p": p, "bound": _MR_BOUND}
 
 
 def test_rationals_parse_and_fmt_round_trip():

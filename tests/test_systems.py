@@ -27,6 +27,7 @@ from lambda_homology.systems import (
 )
 
 from conftest import dense_matrix, dense_span, dense_table_of, same_span
+from test_condition_golden import build as build_golden_case
 from oracles import chain_betti_dense, circle_candidates_dense, boundary_dense, tensor_dims, theta_sweep
 
 Q = Rationals()
@@ -308,3 +309,51 @@ def test_index_sizes_shape(dual):
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(2))
     sizes = sys_.index_sizes()
     assert sizes == {"1,0": 2, "1,1": 2, "2,0": 2, "2,1": 2, "2,2": 2}
+
+
+# ---------------------------------------------------------------------------
+# the probe against the per-vector checks
+# ---------------------------------------------------------------------------
+
+
+def _block_order(system, n, violation):
+    """Where a violation's block comes in the probe's order."""
+    cond = violation["condition"]
+    if cond == "agreement":
+        i = violation["position"]
+        labs = [systems.label_json(lab) for lab in system.labels_at(n, i)]
+        return 0, i, labs.index(violation["candidate"])
+    if cond == "closure":
+        return 1, violation["position"]
+    i, j = violation["positions"]
+    return 2, j, i
+
+
+@pytest.mark.parametrize("case", ["Q/circle/upper", "Q/random/4"])
+def test_probe_verdicts_hold_vector_by_vector(case):
+    """Each probe entry checked through the per-vector path: adding e_f to
+    the subcomplex in degree n breaks conditions only in degree n, and the
+    first of them in block order is the one the probe names."""
+    system = build_golden_case(case)
+    theta = compute_theta(system)
+    f = system.field
+    probe = maximality_probe(theta)
+    assert probe["ok"]
+    checked = 0
+    for deg in probe["degrees"]:
+        n = deg["n"]
+        sub = theta.subspaces[n]
+        for entry in deg["entries"]:
+            grown = Subspace.from_vectors(
+                f, system.dims[n], sub.basis.rows + [{entry["coordinate"]: f.one}])
+            candidates = theta.subspaces[:n] + [grown] + theta.subspaces[n + 1:]
+            rep = validate_subcomplex(system, candidates)
+            assert not rep["valid"]
+            assert any(v["degree"] == n for v in rep["violations"])
+            found = list(systems._violations(system, candidates))
+            assert all(v["degree"] == n for v in found)
+            first = min(found, key=lambda v: _block_order(system, n, v))
+            del first["degree"], first["basis_index"]
+            assert entry["violates"] == first
+            checked += 1
+    assert checked
