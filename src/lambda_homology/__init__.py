@@ -16,13 +16,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .fields import PrimeField, Rationals, field_from_json, field_to_json, parse_field_flag
-from .linalg import (
-    Matrix,
-    Subspace,
-    preimage_constraint,
-    rank_and_kernel,
-    restrict_map,
-)
+from .fields import PrimeField, Rationals, field_from_json, parse_field_flag
+from .linalg import Matrix, Subspace, rank_and_kernel
 
 __version__ = "0.1.0"

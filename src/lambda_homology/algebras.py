@@ -31,7 +31,6 @@ __all__ = [
     "symmetric_group_table",
     "cyclic_group_table",
     "commutativity_report",
-    "check_central_morphism",
     "is_w_witness_pair",
     "is_t_witness_pair",
     "algebra_from_json",
@@ -259,19 +258,6 @@ def commutativity_report(a: Algebra, m: Bimodule | None = None) -> dict:
     if m is not None:
         rep["bimodule_symmetric"] = m.is_symmetric()
     return rep
-
-
-def check_central_morphism(eps: AlgebraMorphism) -> bool:
-    """True when every image eps(b) commutes with all of the target."""
-    t = eps.target
-    one = t.field.one
-    for j in range(eps.source.dim):
-        img = eps.apply_basis(j)
-        for i in range(t.dim):
-            e = {i: one}
-            if t.multiply(img, e) != t.multiply(e, img):
-                return False
-    return True
 
 
 def is_w_witness_pair(bim: Bimodule, e: dict, m: dict) -> bool:
@@ -629,8 +615,9 @@ def morphism_from_json(obj: dict, source: Algebra, target: Algebra) -> AlgebraMo
         mat = Matrix.from_columns(source.field, target.dim, [dict(target.unit)])
         return AlgebraMorphism(source, target, mat, label="unit")
     field = source.field
+    spec_of(obj, "morphism spec", dict)
     entries = []
-    for trip in obj.get("matrix", []):
+    for trip in spec_of(obj.get("matrix", []), "morphism matrix"):
         r, c, lit = spec_ints(trip, "morphism matrix", 3)
         entries.append((r, c, field.parse(lit)))
     mat = Matrix.from_entries(field, target.dim, source.dim, entries)
@@ -649,7 +636,7 @@ def morphism_to_json(m: AlgebraMorphism) -> dict:
 
 
 def vector_from_json(field, lits: list, dim: int) -> dict:
-    if len(lits) != dim:
+    if len(spec_of(lits, "vector")) != dim:
         raise ValidationError("vector length mismatch", expected=dim, got=len(lits))
     out = {}
     for i, lit in enumerate(lits):

@@ -23,8 +23,6 @@ from .algebras import (
     matrix_algebra,
     matrix_bimodule,
     morphism_from_json,
-    validate_algebra,
-    validate_bimodule,
     vector_from_json,
 )
 from .config import DEFAULT_CAPS, ResourceCaps, thread_bound
@@ -39,16 +37,11 @@ from .constructions import (
     witness_t_suite,
     witness_w_suite,
 )
-from .errors import LambdaHomologyError, ResourceCapError, ValidationError, spec_ints
+from .errors import ResourceCapError, ValidationError, spec_ints, spec_of
 from .fields import field_from_json, parse_field_flag
 from .linalg import Matrix, Subspace
 from .simplicial import circle, simplicial_from_json, simplicial_to_json
-from .systems import (
-    LambdaMorphism,
-    check_lambda_morphism,
-    compute_theta,
-    validate_subcomplex,
-)
+from .systems import compute_theta, validate_subcomplex
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +118,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         m = bimodule(a)
         if kind == "hochschild":
             return hochschild_system(a, m, degree)
-        return sphere2_system(a, m, degree, caps)
+        return sphere2_system(a, m, degree)
     if kind in ("higher_hochschild", "loday"):
         a = algebra()
         m = bimodule(a)
@@ -149,7 +142,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
             eps = _identity_morphism(b, a)
         else:
             eps = morphism_from_json(eps_obj, b, a)
-        return secondary_system(a, b, eps, degree, caps)
+        return secondary_system(a, b, eps, degree)
     raise ValidationError(f"unknown construction {kind!r}")
 
 
@@ -170,10 +163,13 @@ def _identity_morphism(b, a):
 
 def _caps_from_args(args) -> ResourceCaps:
     updates = {}
-    if getattr(args, "cap_dim", None):
-        updates["max_ambient_dim"] = args.cap_dim
-    if getattr(args, "cap_index", None):
-        updates["max_index_size"] = args.cap_index
+    for flag, cap in (("cap_dim", "max_ambient_dim"), ("cap_index", "max_index_size")):
+        value = getattr(args, flag)
+        if value is not None:
+            if value < 1:
+                raise ValidationError(f"--{flag.replace('_', '-')} must be at least 1",
+                                      value=value)
+            updates[cap] = value
     return dataclasses.replace(DEFAULT_CAPS, **updates) if updates else DEFAULT_CAPS
 
 
@@ -376,16 +372,20 @@ def _verify_subcomplex(args) -> tuple[dict, bool]:
     system = load_system(args.spec, Path(args.spec).parent,
                          field=_field_from_args(args),
                          max_degree=args.max_degree, caps=caps)
-    data = _read_json(Path(args.subspaces))
+    data = spec_of(_read_json(Path(args.subspaces)), "subspaces file", dict)
     degrees = data.get("subspaces")
     if not isinstance(degrees, list):
         raise ValidationError("subspaces file needs a 'subspaces' list")
+    if len(degrees) != len(system.dims):
+        raise ValidationError("subspaces file needs one entry per degree",
+                              expected=len(system.dims), got=len(degrees))
     f = system.field
     candidates = []
     for n, entry in enumerate(degrees):
+        spec_of(entry, "subspaces entry", dict)
         vecs = [
             vector_from_json(f, v, system.dims[n])
-            for v in entry.get("vectors", [])
+            for v in spec_of(entry.get("vectors", []), "vectors")
         ]
         candidates.append(Subspace.from_vectors(f, system.dims[n], vecs))
     result = validate_subcomplex(system, candidates)
@@ -430,7 +430,7 @@ def _witness_elements(args, big, bigmod, field):
     """Elements file for the witness suites; None means use the defaults."""
     if not args.elements:
         return None, None
-    data = _read_json(Path(args.elements))
+    data = spec_of(_read_json(Path(args.elements)), "elements file", dict)
     if "e" not in data:
         raise ValidationError("elements file needs 'e'")
     e = vector_from_json(field, data["e"], big.dim)

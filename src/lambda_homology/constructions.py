@@ -35,7 +35,6 @@ from .simplicial import PointedSimplicialSet, circle
 from .systems import (
     LambdaMorphism,
     LambdaSystem,
-    ThetaComplex,
     check_lambda_morphism,
     compute_theta,
     induced_theta_map,
@@ -382,8 +381,7 @@ def _tri_slot(n: int, p: int, q: int) -> int:
     return 1 + (p - 1) * (2 * n - p) // 2 + (q - p - 1)
 
 
-def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
-                   caps=DEFAULT_CAPS) -> LambdaSystem:
+def sphere2_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
     """Faces on M (x) A^(n(n-1)/2) with factors at positions (p, q), p < q.
 
     d_0 consumes row 1 into the module, multiplying the module and the row
@@ -451,7 +449,7 @@ def _pair_slot(n: int, p: int, q: int) -> int:
 
 
 def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
-                     max_degree: int, caps=DEFAULT_CAPS) -> LambdaSystem:
+                     max_degree: int) -> LambdaSystem:
     """Faces on A^(n+1) (x) B^(n(n+1)/2) connected by a morphism B -> A.
 
     Face i < n merges diagonal factors i, i+1; the (i, i+1) factor of B
@@ -578,11 +576,39 @@ def _boundary_parity_report(system: LambdaSystem, vectors: list[dict]) -> dict:
     return {"ok": ok, "entries": entries}
 
 
-def _span_chain(field, system: LambdaSystem, vectors: list[dict]) -> list[Subspace]:
-    return [
-        Subspace.from_vectors(field, system.dims[n], [vectors[n]])
-        for n in range(len(vectors))
+def _witness_report(kind: str, system: LambdaSystem, vectors: list[dict],
+                    theta_system_of, n_theta: int | None, caps) -> dict:
+    """Transport, span validation, membership, and boundary parity for one
+    witness vector per degree of ``system``.
+
+    Membership is checked directly up to ``n_theta`` (default: the top
+    degree) in the computed subspace of ``theta_system_of(n_theta)``, the
+    system truncated there; it is built only after the span is validated.
+    """
+    if n_theta is None:
+        n_theta = system.max_degree
+    if not 0 <= n_theta <= system.max_degree:
+        raise ValidationError(
+            "theta degree must lie between 0 and the max degree",
+            theta_degree=n_theta, max_degree=system.max_degree,
+        )
+    spans = [Subspace.from_vectors(system.field, system.dims[n], [v])
+             for n, v in enumerate(vectors)]
+    sub_report = validate_subcomplex(system, spans)
+    theta = compute_theta(theta_system_of(n_theta), caps)
+    membership = [
+        {"n": n, "in_theta": theta.subspaces[n].contains(vectors[n])}
+        for n in range(n_theta + 1)
     ]
+    return {
+        "kind": kind,
+        "max_degree": system.max_degree,
+        "transport": _transport_report(system, vectors),
+        "span_is_subcomplex": sub_report,
+        "theta_membership": membership,
+        "theta_checked_up_to": n_theta,
+        "boundary_parity": _boundary_parity_report(system, vectors),
+    }
 
 
 def witness_w_suite(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
@@ -594,28 +620,12 @@ def witness_w_suite(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
         raise ValidationError(
             "witness data must be an idempotent acting as identity on the module vector"
         )
-    system = higher_hochschild_system(a, m, x, caps)
-    field = a.field
     vectors = [w_witness_vector(m, x, e, mvec, n) for n in range(x.max_level + 1)]
-    spans = _span_chain(field, system, vectors)
-    sub_report = validate_subcomplex(system, spans)
-    n_theta = x.max_level if theta_degree is None else theta_degree
-    theta = compute_theta(
-        higher_hochschild_system(a, m, x.truncate(n_theta), caps), caps
+    return _witness_report(
+        "module_idempotent", higher_hochschild_system(a, m, x, caps), vectors,
+        lambda n: higher_hochschild_system(a, m, x.truncate(n), caps),
+        theta_degree, caps,
     )
-    membership = [
-        {"n": n, "in_theta": theta.subspaces[n].contains(vectors[n])}
-        for n in range(n_theta + 1)
-    ]
-    return {
-        "kind": "module_idempotent",
-        "max_degree": x.max_level,
-        "transport": _transport_report(system, vectors),
-        "span_is_subcomplex": sub_report,
-        "theta_membership": membership,
-        "theta_checked_up_to": n_theta,
-        "boundary_parity": _boundary_parity_report(system, vectors),
-    }
 
 
 def witness_t_suite(a: Algebra, b: Algebra, eps: AlgebraMorphism,
@@ -633,27 +643,13 @@ def witness_t_suite(a: Algebra, b: Algebra, eps: AlgebraMorphism,
         raise ValidationError(
             "witness data must be idempotents absorbing through the morphism"
         )
-    system = secondary_system(a, b, eps, max_degree, caps)
-    field = a.field
     vectors = [t_witness_vector(a, b, e, f, n) for n in range(max_degree + 1)]
-    spans = _span_chain(field, system, vectors)
-    sub_report = validate_subcomplex(system, spans)
-    n_theta = max_degree if theta_degree is None else theta_degree
-    theta = compute_theta(secondary_system(a, b, eps, n_theta, caps), caps)
-    membership = [
-        {"n": n, "in_theta": theta.subspaces[n].contains(vectors[n])}
-        for n in range(n_theta + 1)
-    ]
-    return {
-        "kind": "paired_idempotents",
-        "max_degree": max_degree,
-        "transport": _transport_report(system, vectors),
-        "span_is_subcomplex": sub_report,
-        "theta_membership": membership,
-        "theta_checked_up_to": n_theta,
-        "membership_above_direct_check": "certified by subcomplex containment",
-        "boundary_parity": _boundary_parity_report(system, vectors),
-    }
+    report = _witness_report(
+        "paired_idempotents", secondary_system(a, b, eps, max_degree), vectors,
+        lambda n: secondary_system(a, b, eps, n), theta_degree, caps,
+    )
+    report["membership_above_direct_check"] = "certified by subcomplex containment"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +725,11 @@ def morita_report(a: Algebra, m: Bimodule, size: int, max_degree: int,
                                    label="circle_to_classical")
     cert0 = check_lambda_morphism(mor0)
     cert1 = check_lambda_morphism(mor1)
+    # the circle and classical systems of the extension have equal dims
+    # (mor1 checks it), so the corner maps into either are the same matrices
     mor2 = mor1.compose(mor0, label="corner_to_classical")
-    direct2 = corner_chain_map(
-        a, m, corner_emb.matrix, corner_mod, max_degree,
-        sys_big_classical.dims
-    )
     composition_ok = all(
-        mor2.matrices[n] == direct2[n] for n in range(max_degree + 1)
+        mor2.matrices[n] == corner_mats[n] for n in range(max_degree + 1)
     )
     ind0 = induced_theta_map(mor0, theta2, theta4)
     ind1 = induced_theta_map(mor1, theta4, theta3)

@@ -82,9 +82,6 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -175,9 +172,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -243,10 +237,6 @@ def field_from_json(obj) -> Rationals | PrimeField:
             raise ValidationError("prime field spec needs 'p'", got=obj)
         return PrimeField(spec_ints(obj["p"], "p"))
     raise ValidationError(f"unknown field kind {kind!r}", got=obj)
-
-
-def field_to_json(field) -> dict:
-    return field.to_json()
 
 
 def parse_field_flag(flag: str) -> Rationals | PrimeField:

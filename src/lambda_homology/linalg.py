@@ -129,33 +129,6 @@ class Matrix:
 
     # ---------------------------------------------------------- arithmetic
 
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise ValidationError("field mismatch")
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValidationError(
-                "shape mismatch",
-                left=[self.nrows, self.ncols],
-                right=[other.nrows, other.ncols],
-            )
-
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        rows = [dict(r) for r in self.rows]
-        for dst, src in zip(rows, other.rows):
-            f.axpy_row(dst, src, f.one)
-        return Matrix(f, self.nrows, self.ncols, rows)
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        if not c:
-            return Matrix.zeros(f, self.nrows, self.ncols)
-        rows = []
-        for row in self.rows:
-            rows.append({k: f.mul(v, c) for k, v in row.items()})
-        return Matrix(f, self.nrows, self.ncols, rows)
-
     def mul(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other."""
         if self.field != other.field:
@@ -451,10 +424,6 @@ class Subspace:
         rows = [{i: one} for i in range(ambient_dim)]
         return cls._from_rref(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
-    @classmethod
-    def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls._from_rref(field, ambient_dim, [], ())
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -462,9 +431,6 @@ class Subspace:
     @property
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
-
-    def basis_rows(self) -> list[dict]:
-        return self.basis.rows
 
     # ----------------------------------------------------------- membership
 
@@ -519,52 +485,6 @@ class Subspace:
         for fc in free:
             rows.append(row_entries[fc])
         return Matrix(f, len(free), self.ambient_dim, rows)
-
-    def compose_relative(self, rel: "Subspace") -> "Subspace":
-        """Push a subspace given in self-coordinates down to the ambient space."""
-        if rel.ambient_dim != self.dim:
-            raise ValidationError(
-                "relative coordinates mismatch", expected=self.dim, got=rel.ambient_dim
-            )
-        f = self.field
-        brows = self.basis.rows
-        out = []
-        for crow in rel.basis.rows:
-            acc: dict = {}
-            for r, c in crow.items():
-                f.axpy_row(acc, brows[r], c)
-            out.append(acc)
-        return Subspace.from_vectors(f, self.ambient_dim, out)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, list(self.basis.rows) + list(other.basis.rows)
-        )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        if self.is_full:
-            return other
-        if other.is_full:
-            return self
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        # solve: combinations of self.basis that other's projector kills
-        proj = other.complement_projector()
-        m = proj.mul(self.basis.transpose())  # (free of other) x dim(self)
-        _, ker = rank_and_kernel(m)
-        return self.compose_relative(ker)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.field != other.field:
-            raise ValidationError("field mismatch")
-        if self.ambient_dim != other.ambient_dim:
-            raise ValidationError(
-                "ambient dimension mismatch",
-                left=self.ambient_dim,
-                right=other.ambient_dim,
-            )
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -637,43 +557,3 @@ def kernel_of_rows_raw(field, rows: Sequence[dict], ncols: int) -> Subspace:
     pivset = set(pivots)
     free = tuple(c for c in range(ncols) if c not in pivset)
     return Subspace.from_pivot_basis(field, ncols, krows, free)
-
-
-def image(m: Matrix) -> Subspace:
-    """Column span of a matrix."""
-    return Subspace.from_vectors(m.field, m.nrows, m.transpose().rows)
-
-
-def preimage_constraint(m: Matrix, target: Subspace) -> Subspace:
-    """The subspace {v : m v lies in target} of the domain of m."""
-    if target.ambient_dim != m.nrows:
-        raise ValidationError(
-            "target lives in the wrong space", expected=m.nrows, got=target.ambient_dim
-        )
-    if target.is_full:
-        return Subspace.full(m.field, m.ncols)
-    proj = target.complement_projector()
-    constrained = proj.mul(m)
-    _, ker = rank_and_kernel(constrained)
-    return ker
-
-
-def restrict_map(m: Matrix, domain: Subspace, codomain: Subspace) -> Matrix:
-    """Matrix of m between the echelon bases of domain and codomain.
-
-    Columns are the codomain coordinates of m applied to domain basis rows.
-    Raises InternalCheckError if any image escapes the codomain, since that
-    means the caller's invariants are broken.
-    """
-    if domain.ambient_dim != m.ncols or codomain.ambient_dim != m.nrows:
-        raise ValidationError(
-            "restriction shape mismatch",
-            map_shape=[m.nrows, m.ncols],
-            domain=domain.ambient_dim,
-            codomain=codomain.ambient_dim,
-        )
-    cols = []
-    for brow in domain.basis.rows:
-        img = m.apply_to_vec(brow)
-        cols.append(codomain.coords_of(img))
-    return Matrix.from_columns(m.field, codomain.dim, cols)

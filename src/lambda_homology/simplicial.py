@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ValidationError
+from .errors import ValidationError, spec_ints, spec_of
 
 __all__ = [
     "PointedSimplicialSet",
@@ -45,9 +45,6 @@ class FiberPartition:
 
     def multi_fibers(self) -> list[tuple[int, tuple[int, ...]]]:
         return [(t, c) for t, c in sorted(self.classes.items()) if len(c) > 1]
-
-    def max_fiber_size(self) -> int:
-        return max((len(c) for c in self.classes.values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,9 @@ class PointedSimplicialSet:
                 if images[0] != 0:
                     bad.append({"kind": "pointed", "level": n, "index": i,
                                 "image_of_basepoint": images[0]})
+        if any(b["kind"] in ("shape", "range") for b in bad):
+            # the identities below index the face tables by these shapes
+            return bad
         # d_i d_j = d_{j-1} d_i for i < j, as maps X_n -> X_{n-2}
         for n in range(2, self.max_level + 1):
             for j in range(1, n + 1):
@@ -232,29 +232,34 @@ def circle(max_level: int) -> PointedSimplicialSet:
 # The basepoint at every level is simplex 0.
 
 
+def _image_lists(level, what: str) -> tuple:
+    """One level of face or degeneracy maps: a list of image lists of ints."""
+    return tuple(tuple(spec_ints(t, what) for t in spec_of(images, what))
+                 for images in spec_of(level, what))
+
+
 def simplicial_from_json(obj: dict) -> PointedSimplicialSet:
-    try:
-        max_level = int(obj["max_level"])
-        sizes = tuple(int(s) for s in obj["sizes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("simplicial spec needs 'max_level' and 'sizes'") from exc
-    faces_obj = obj.get("faces", {})
+    spec_of(obj, "simplicial spec", dict)
+    if "max_level" not in obj or "sizes" not in obj:
+        raise ValidationError("simplicial spec needs 'max_level' and 'sizes'")
+    max_level = spec_ints(obj["max_level"], "max_level")
+    sizes = tuple(spec_ints(s, "sizes entry") for s in spec_of(obj["sizes"], "sizes"))
+    faces_obj = spec_of(obj.get("faces", {}), "faces", dict)
     faces = []
     for n in range(1, max_level + 1):
         key = str(n)
         if key not in faces_obj:
             raise ValidationError("missing face maps for a level", level=n)
-        level = faces_obj[key]
-        faces.append(tuple(tuple(int(t) for t in images) for images in level))
+        faces.append(_image_lists(faces_obj[key], "faces"))
     degeneracies = []
     deg_obj = obj.get("degeneracies")
     if deg_obj:
+        spec_of(deg_obj, "degeneracies", dict)
         for n in range(max_level):
             key = str(n)
             if key not in deg_obj:
                 break
-            level = deg_obj[key]
-            degeneracies.append(tuple(tuple(int(t) for t in images) for images in level))
+            degeneracies.append(_image_lists(deg_obj[key], "degeneracies"))
     x = PointedSimplicialSet(
         max_level=max_level,
         sizes=sizes,

@@ -18,8 +18,7 @@ stacked linear system per degree:
 each excluded unit vector breaks off the column supports of the blocks.
 
 Boundary ranks, homology, and induced maps are computed against ambient
-coordinates wherever possible; subcomplex coordinates appear only in the
-optional restricted matrices, since their bases can be large.
+coordinates wherever possible, since subcomplex bases can be large.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .linalg import (
     Subspace,
     kernel_of_rows_raw,
     rank,
-    restrict_map,
     rref,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "LambdaMorphism",
     "check_lambda_morphism",
     "induced_theta_map",
-    "subcomplex_sum",
     "maximality_probe",
     "label_json",
 ]
@@ -473,14 +470,6 @@ def _violations(system: LambdaSystem, candidates: list[Subspace]):
                                "positions": [i, j], "basis_index": idx}
 
 
-def subcomplex_sum(system: LambdaSystem, a: list[Subspace],
-                   b: list[Subspace]) -> list[Subspace]:
-    """Degreewise sum of two subcomplexes; the sum is again one."""
-    if len(a) != len(b):
-        raise ValidationError("subcomplex lengths differ", left=len(a), right=len(b))
-    return [u.sum_with(v) for u, v in zip(a, b)]
-
-
 # ---------------------------------------------------------------------------
 # morphisms and induced maps
 # ---------------------------------------------------------------------------
@@ -633,7 +622,7 @@ def homology_quotients(theta: ThetaComplex, up_to: int) -> list[QuotientBasis]:
 
 
 def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
-                      theta_tgt: ThetaComplex, emit_matrices: bool = False) -> dict:
+                      theta_tgt: ThetaComplex) -> dict:
     """Restrict a certified morphism to the subcomplexes and to homology.
 
     Verifies degreewise that the source subcomplex maps into the target one
@@ -684,13 +673,6 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
                 "rank": r,
                 "isomorphism": r == q_src[n].dim == q_tgt[n].dim,
             })
-    if emit_matrices:
-        report["restricted_matrices"] = []
-        for n in range(depth + 1):
-            mat = restrict_map(
-                mor.matrices[n], theta_src.subspaces[n], theta_tgt.subspaces[n]
-            )
-            report["restricted_matrices"].append({"n": n, "matrix": mat.to_entries()})
     return report
 
 

@@ -142,7 +142,7 @@ def dense_matrix(m):
 
 
 def dense_span(sub):
-    return [dense_vec(row, sub.ambient_dim) for row in sub.basis_rows()]
+    return [dense_vec(row, sub.ambient_dim) for row in sub.basis.rows]
 
 
 def same_span(dense_a, dense_b):

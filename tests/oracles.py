@@ -102,26 +102,6 @@ def member_dense(basis, vec) -> bool:
     return rank_dense(basis) == rank_dense(list(basis) + [list(vec)])
 
 
-def intersect_dense(basis_a, basis_b, ncols):
-    """Basis of the intersection of two row spans."""
-    if not basis_a or not basis_b:
-        return []
-    rel = []
-    for j in range(ncols):
-        rel.append([basis_a[i][j] for i in range(len(basis_a))]
-                   + [-basis_b[i][j] for i in range(len(basis_b))])
-    out = []
-    for coeffs in kernel_dense(rel, len(basis_a) + len(basis_b)):
-        vec = [Fraction(0)] * ncols
-        for i in range(len(basis_a)):
-            if coeffs[i]:
-                vec = [v + coeffs[i] * basis_a[i][j] for j, v in enumerate(vec)]
-        if any(vec):
-            out.append(vec)
-    red, _ = rref_dense(out)
-    return red
-
-
 def annihilator_dense(basis, dim):
     """Functionals (as rows) vanishing exactly on the span of the basis."""
     if not basis:

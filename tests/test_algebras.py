@@ -9,7 +9,6 @@ from lambda_homology.algebras import (
     algebra_to_json,
     bimodule_from_json,
     bimodule_to_json,
-    check_central_morphism,
     commutativity_report,
     cyclic_group_table,
     ground_field_algebra,
@@ -141,7 +140,6 @@ def test_matrix_bimodule_corner(q, dual):
 def test_morphism_validation(q, ground, dual):
     unit = morphism_from_json({"builtin": "unit"}, ground, dual)
     assert unit.validate() == []
-    assert check_central_morphism(unit)
     # a non-multiplicative map: send 1 to x
     bad = AlgebraMorphism(ground, dual,
                           Matrix.from_entries(q, 2, 1, [(1, 0, q.one)]))

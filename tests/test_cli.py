@@ -152,6 +152,18 @@ def test_cap_exceeded_exits_2(specs):
     assert body["details"]["cap"] == 4
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cap-dim", "0"), ("--cap-index", "0"), ("--cap-dim", "-3"),
+], ids=["dim-zero", "index-zero", "dim-negative"])
+def test_cap_below_one_exits_1(specs, flag, value):
+    r = run_cli(["homology", specs["dual_classical"], flag, value])
+    assert r.returncode == 1
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert flag in body["message"]
+    assert body["details"]["value"] == int(value)
+
+
 def test_missing_spec_file_exits_1(specs):
     r = run_cli(["homology", os.path.join(specs["root"], "nope.json")])
     assert r.returncode == 1
@@ -356,6 +368,45 @@ def test_verify_witness_t():
     assert r.returncode == 0
     rep = json.loads(r.stdout)
     assert rep["passed"] is True
+
+
+@pytest.mark.parametrize("subspaces, named", [
+    ([], "subspaces file"),
+    ({"subspaces": [5, {"vectors": []}]}, "subspaces entry"),
+    ({"subspaces": [{"vectors": [5]}, {"vectors": []}]}, "vector"),
+], ids=["file-list", "entry-int", "vector-int"])
+def test_verify_subcomplex_malformed_exits_1(specs, tmp_path, subspaces, named):
+    path = tmp_path / "subs.json"
+    path.write_text(json.dumps(subspaces))
+    r = run_cli(["verify", "subcomplex", "--spec", specs["dual_classical"],
+                 "--max-degree", "1", "--subspaces", str(path)])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert body["message"].startswith(named)
+
+
+def test_verify_witness_malformed_elements_exits_1(tmp_path):
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps({"e": 5, "f": ["1", "0", "0", "1"]}))
+    r = run_cli(["verify", "witness", "--kind", "t", "--max-degree", "1",
+                 "--elements", str(path)])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert body["details"]["entry"] == 5
+
+
+def test_verify_witness_theta_above_max_degree_exits_1():
+    r = run_cli(["verify", "witness", "--kind", "t", "--max-degree", "1",
+                 "--theta-degree", "3"])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert body["details"] == {"theta_degree": 3, "max_degree": 1}
 
 
 # ---------------------------------------------------------------------------

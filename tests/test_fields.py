@@ -11,7 +11,6 @@ from lambda_homology.fields import (
     PrimeField,
     Rationals,
     field_from_json,
-    field_to_json,
     is_prime,
     parse_field_flag,
 )
@@ -106,7 +105,7 @@ def test_parse_field_flag():
 
 def test_field_json_round_trip():
     for f in [Rationals(), PrimeField(5)]:
-        assert field_from_json(field_to_json(f)) == f
+        assert field_from_json(f.to_json()) == f
 
 
 small_q = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -120,7 +119,7 @@ def test_rationals_field_laws(a, b):
     q = Rationals()
     assert q.add(a, b) == a + b
     assert q.mul(a, b) == a * b
-    assert q.sub(a, b) == q.add(a, q.neg(b))
+    assert q.neg(a) == -a
     if b != 0:
         assert isinstance(q.inv(b), (int, Fraction))
         assert q.mul(b, q.inv(b)) == Fraction(1)
@@ -131,7 +130,7 @@ def test_prime_field_laws(a, b):
     f = PrimeField(7)
     assert f.add(a, b) == (a + b) % 7
     assert f.mul(a, b) == (a * b) % 7
-    assert f.sub(a, b) == (a - b) % 7
+    assert f.neg(a) == (-a) % 7
     if b:
         assert f.mul(b, f.inv(b)) == 1
 

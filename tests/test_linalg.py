@@ -5,24 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambda_homology.errors import ValidationError
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
     DENSE_THRESHOLD,
     Matrix,
     Subspace,
-    image,
     kernel_of_rows,
     kernel_of_rows_raw,
-    preimage_constraint,
     rank,
     rank_and_kernel,
-    restrict_map,
     rref,
 )
 
 from oracles import (
-    intersect_dense,
     kernel_dense,
     matvec_dense,
     member_dense,
@@ -91,13 +86,12 @@ def test_subspace_equality_is_basis_free():
 
 def test_full_and_zero_subspaces():
     full = Subspace.full(Q, 4)
-    zero = Subspace.zero(Q, 4)
+    zero = Subspace.from_vectors(Q, 4, [])
     assert full.dim == 4 and full.is_full
     assert zero.dim == 0
     assert full.contains(vec_sparse(Q, [1, 2, 3, 4]))
     assert zero.contains({})
     assert not zero.contains({0: Fraction(1)})
-    assert full.intersect(zero) == zero
 
 
 def test_complement_projector_kills_exactly_the_subspace():
@@ -109,13 +103,6 @@ def test_complement_projector_kills_exactly_the_subspace():
     assert p.apply_to_vec(vec_sparse(Q, [1, 0, 0])) != {}
 
 
-def test_ambient_mismatch_raises():
-    u = Subspace.full(Q, 3)
-    v = Subspace.full(Q, 4)
-    with pytest.raises(ValidationError):
-        u.intersect(v)
-
-
 def test_kernel_raw_matches_canonical():
     rows = [vec_sparse(Q, [1, 1, 0, 0]), vec_sparse(Q, [0, 1, 1, 0])]
     # kernel_of_rows_raw eliminates the rows it is handed, so it gets copies
@@ -125,17 +112,6 @@ def test_kernel_raw_matches_canonical():
     assert raw.dim == 2
     # raw pivots sit at the free columns of the constraint system
     assert raw.pivots == (2, 3)
-
-
-def test_restrict_map_coordinates():
-    m = Matrix.from_dense(Q, [[1, 0], [0, 2], [0, 0]])
-    dom = Subspace.full(Q, 2)
-    cod = Subspace.from_vectors(Q, 3, [vec_sparse(Q, [1, 0, 0]),
-                                       vec_sparse(Q, [0, 1, 0])])
-    r = restrict_map(m, dom, cod)
-    assert r.nrows == 2 and r.ncols == 2
-    # second domain vector maps to 2 * (second codomain vector)
-    assert r.column(1) == {1: Fraction(2)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +152,7 @@ def test_kernel_matches_oracle(m):
     dense = dense_of(m)
     assert r == rank_dense(dense)
     assert ker.dim == m.ncols - r
-    for row in ker.basis_rows():
+    for row in ker.basis.rows:
         assert m.apply_to_vec(row) == {}
     oracle = kernel_dense(dense, m.ncols)
     oracle_span = Subspace.from_vectors(
@@ -275,22 +251,6 @@ def test_span_membership_matches_oracle(nv):
     assert u.contains(probe) == member_dense(dense, vec_dense(probe, n))
 
 
-@given(q_vectors(), q_vectors())
-def test_intersection_matches_oracle(nv_a, nv_b):
-    n = max(nv_a[0], nv_b[0])
-    a = Subspace.from_vectors(Q, n, nv_a[1])
-    b = Subspace.from_vectors(Q, n, nv_b[1])
-    got = a.intersect(b)
-    oracle = intersect_dense([vec_dense(v, n) for v in nv_a[1]],
-                             [vec_dense(v, n) for v in nv_b[1]], n)
-    assert got.dim == len(oracle)
-    for row in got.basis_rows():
-        assert a.contains(row) and b.contains(row)
-    # dimension formula against the sum
-    s = a.sum_with(b)
-    assert s.dim == a.dim + b.dim - got.dim
-
-
 @given(q_vectors())
 def test_projector_characterizes_membership(nv):
     n, vecs = nv
@@ -304,21 +264,6 @@ def test_projector_characterizes_membership(nv):
 
 
 @given(q_matrix())
-def test_image_and_preimage(m):
-    img = image(m)
-    for c in range(m.ncols):
-        assert img.contains(m.column(c))
-    target = Subspace.from_vectors(Q, m.nrows, [m.column(0)])
-    pre = preimage_constraint(m, target)
-    for row in pre.basis_rows():
-        assert target.contains(m.apply_to_vec(row))
-    # the preimage always contains the kernel
-    _, ker = rank_and_kernel(m)
-    for row in ker.basis_rows():
-        assert pre.contains(row)
-
-
-@given(q_matrix())
 def test_matvec_agrees_with_column_apply(m):
     vec = {c: Fraction(c + 1) for c in range(m.ncols)}
     assert vec_dense(m.apply_to_vec(vec), m.nrows) == matvec_dense(
@@ -326,14 +271,9 @@ def test_matvec_agrees_with_column_apply(m):
     assert m.transpose().transpose() == m
 
 
-@given(q_matrix(), st.integers(-3, 3))
-def test_matrix_ring_ops_match_dense(m, c):
-    dense = dense_of(m)
-    scaled = m.scale(Q.from_int(c))
-    assert dense_of(scaled) == [[Fraction(c) * x for x in row]
-                                for row in dense]
-    s = m.add(m.scale(Q.from_int(-1)))
-    assert s.is_zero()
+@given(q_matrix())
+def test_matrix_ring_ops_match_dense(m):
+    assert m.mul(Matrix.zeros(Q, m.ncols, m.ncols)).is_zero()
     prod = m.mul(Matrix.identity(Q, m.ncols))
     assert prod == m
 
@@ -369,14 +309,14 @@ def f7_matrix(draw, max_dim=5):
 def test_prime_field_rank_nullity(m):
     r, ker = rank_and_kernel(m)
     assert r + ker.dim == m.ncols
-    for row in ker.basis_rows():
+    for row in ker.basis.rows:
         assert m.apply_to_vec(row) == {}
     assert rank(m.transpose()) == r
 
 
 @given(f7_matrix())
 def test_prime_field_projector(m):
-    img = image(m)
+    img = Subspace.from_vectors(F7, m.nrows, m.transpose().rows)
     p = img.complement_projector()
     for c in range(m.ncols):
         assert p.apply_to_vec(m.column(c)) == {}

@@ -47,7 +47,6 @@ def test_circle_fibers_have_one_merge_each():
             sizes = sorted(len(part.fiber_of(t))
                            for t in range(x.size(n - 1)))
             assert sizes == [1] * (x.size(n - 1) - 1) + [2]
-            assert part.max_fiber_size() == 2
 
 
 def test_circle_last_face_fiber_puts_basepoint_last():

@@ -21,7 +21,6 @@ from lambda_homology.systems import (
     homology_quotients,
     induced_theta_map,
     maximality_probe,
-    subcomplex_sum,
     trivial_system,
     validate_subcomplex,
 )
@@ -286,15 +285,6 @@ def test_induced_map_on_theta(dual):
     for entry in rep["homology_maps"]:
         assert entry["isomorphism"]
         assert entry["source_betti"] == entry["target_betti"]
-
-
-def test_subcomplex_sum_absorbs_contained_pieces(upper):
-    sys_ = higher_hochschild_system(upper, Bimodule.regular(upper), circle(2))
-    theta = compute_theta(sys_)
-    zeros = [Subspace.zero(Q, d) for d in sys_.dims]
-    summed = subcomplex_sum(sys_, theta.subspaces, zeros)
-    assert [s.dim for s in summed] == theta.dims()
-    assert all(a == b for a, b in zip(summed, theta.subspaces))
 
 
 def test_caps_are_enforced(dual):
