@@ -118,7 +118,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         m = bimodule(a)
         if kind == "hochschild":
             return hochschild_system(a, m, degree)
-        return sphere2_system(a, m, degree)
+        return sphere2_system(a, m, degree, caps)
     if kind in ("higher_hochschild", "loday"):
         a = algebra()
         m = bimodule(a)
@@ -126,7 +126,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
             spec.get("simplicial", {"builtin": "circle"}), base, degree,
         )
         if kind == "loday":
-            return loday_chain(a, m, x, caps)
+            return loday_chain(a, m, x)
         return higher_hochschild_system(a, m, x, caps)
     if kind == "secondary":
         if degree is None:
@@ -142,7 +142,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
             eps = _identity_morphism(b, a)
         else:
             eps = morphism_from_json(eps_obj, b, a)
-        return secondary_system(a, b, eps, degree)
+        return secondary_system(a, b, eps, degree, caps)
     raise ValidationError(f"unknown construction {kind!r}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 
 #: environment variable bounding how many workers a pipeline may use
 THREADS_ENV = "LAMBDA_HOMOLOGY_THREADS"
@@ -19,10 +19,17 @@ THREADS_ENV = "LAMBDA_HOMOLOGY_THREADS"
 class ResourceCaps:
     #: largest allowed ambient dimension of a single graded piece
     max_ambient_dim: int = 200_000
-    #: largest allowed number of face variants per (degree, position)
+    #: largest allowed number of face variants per (degree, position),
+    #: checked before a builder enumerates them
     max_index_size: int = 720
-    #: largest fiber whose orderings may be enumerated (6! = 720 orderings)
-    max_fiber_size: int = 6
+
+    def check_index_size(self, degree: int, position: int, size: int) -> None:
+        if size > self.max_index_size:
+            raise ResourceCapError(
+                "candidate set exceeds cap",
+                degree=degree, position=position, size=size,
+                cap=self.max_index_size,
+            )
 
 
 DEFAULT_CAPS = ResourceCaps()

@@ -17,6 +17,7 @@ order and faces given by structure-constant products:
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebras import (
     Algebra,
@@ -29,7 +30,7 @@ from .algebras import (
     matrix_bimodule,
 )
 from .config import DEFAULT_CAPS
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError
 from .linalg import Matrix, Subspace
 from .simplicial import PointedSimplicialSet, circle
 from .systems import (
@@ -271,15 +272,14 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
 # ---------------------------------------------------------------------------
 
 
-def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
-                       caps=DEFAULT_CAPS):
-    """Shared dims/labels/columns for systems over a simplicial set.
+def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
+    """Shared dims, fibers and columns for systems over a simplicial set.
 
     Simplex ids double as slot indices: slot 0 holds the module factor at
     the basepoint and slot j holds the algebra factor of simplex j.  For
     each face map, each target simplex collects the ordered product of its
-    fiber; candidate labels pick one ordering per fiber of size > 1, listed
-    per target id, identity orderings first.
+    fiber; a candidate label picks one ordering per fiber of size > 1,
+    listed per target id, in the order of ``multis[(n, i)]``.
     """
     _check_pair(a, m)
     field = a.field
@@ -295,24 +295,11 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
 
     fibers = {}
     multis = {}
-    labels = {}
     for n in range(1, max_degree + 1):
         for i in range(n + 1):
             part = x.fibers(n, i)
             fibers[(n, i)] = part
-            multi = part.multi_fibers()
-            for _, fib in multi:
-                if len(fib) > caps.max_fiber_size:
-                    raise ResourceCapError(
-                        "fiber exceeds cap", degree=n, position=i,
-                        size=len(fib), cap=caps.max_fiber_size,
-                    )
-            multis[(n, i)] = multi
-            perm_sets = [
-                tuple(itertools.permutations(range(len(fib))))
-                for _, fib in multi
-            ]
-            labels[(n, i)] = tuple(itertools.product(*perm_sets))
+            multis[(n, i)] = part.multi_fibers()
 
     def slots_of(n, i, lab):
         part = fibers[(n, i)]
@@ -326,34 +313,42 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
         return out
 
     column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
-    return dims, labels, column_fn
+    return dims, multis, column_fn
 
 
 def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
                              caps=DEFAULT_CAPS) -> LambdaSystem:
-    """The system over a pointed simplicial set with all fiber orderings."""
-    dims, labels, column_fn = _simplicial_engine(a, m, x, caps)
+    """The system over a pointed simplicial set with all fiber orderings,
+    identity orderings first; their number is checked before they are
+    enumerated."""
+    dims, multis, column_fn = _simplicial_engine(a, m, x)
+    labels = {}
+    for (n, i), multi in multis.items():
+        caps.check_index_size(
+            n, i, math.prod(math.factorial(len(fib)) for _, fib in multi))
+        labels[(n, i)] = tuple(itertools.product(
+            *(itertools.permutations(range(len(fib))) for _, fib in multi)))
     tag = f"simplicial({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
     return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
 
-def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
-                caps=DEFAULT_CAPS) -> LambdaSystem:
+def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSystem:
     """The commutative-case chain: fiber products with no ordering choices.
 
     Requires a commutative algebra and symmetric bimodule, where unordered
     fiber products are well defined; the faces equal the reference faces of
-    the full system, wrapped with a single candidate each.
+    the full system, whose identity orderings are its single candidates.
     """
     rep = commutativity_report(a, m)
     if not rep["algebra_commutative"]:
         raise ValidationError("commutative chain needs a commutative algebra")
     if not rep["bimodule_symmetric"]:
         raise ValidationError("commutative chain needs a symmetric bimodule")
-    dims, labels, column_fn = _simplicial_engine(a, m, x, caps)
-    trimmed = {key: (labs[0],) for key, labs in labels.items()}
+    dims, multis, column_fn = _simplicial_engine(a, m, x)
+    labels = {key: (tuple(tuple(range(len(fib))) for _, fib in multi),)
+              for key, multi in multis.items()}
     tag = f"commutative({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
-    return LambdaSystem(a.field, x.max_level, dims, trimmed, column_fn, label=tag)
+    return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +376,8 @@ def _tri_slot(n: int, p: int, q: int) -> int:
     return 1 + (p - 1) * (2 * n - p) // 2 + (q - p - 1)
 
 
-def sphere2_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
+def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
+                   caps=DEFAULT_CAPS) -> LambdaSystem:
     """Faces on M (x) A^(n(n-1)/2) with factors at positions (p, q), p < q.
 
     d_0 consumes row 1 into the module, multiplying the module and the row
@@ -399,6 +395,9 @@ def sphere2_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
     dims = tuple(layouts[n].total for n in range(max_degree + 1))
     labels = {}
     for n in range(1, max_degree + 1):
+        ends = math.factorial(n)
+        for i, size in enumerate([ends] + [2 ** (n - 1)] * (n - 1) + [ends]):
+            caps.check_index_size(n, i, size)
         head = tuple(sorted(itertools.permutations((0,) + tuple(range(2, n + 1)))))
         tail = tuple(sorted(itertools.permutations(tuple(range(n)))))
         labels[(n, 0)] = head
@@ -449,7 +448,7 @@ def _pair_slot(n: int, p: int, q: int) -> int:
 
 
 def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
-                     max_degree: int) -> LambdaSystem:
+                     max_degree: int, caps=DEFAULT_CAPS) -> LambdaSystem:
     """Faces on A^(n+1) (x) B^(n(n+1)/2) connected by a morphism B -> A.
 
     Face i < n merges diagonal factors i, i+1; the (i, i+1) factor of B
@@ -471,6 +470,7 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
     labels = {}
     for n in range(1, max_degree + 1):
         for i in range(n + 1):
+            caps.check_index_size(n, i, 3 * 2 ** (n - 1))
             ternary_at = 0 if i == n else i
             ranges = [
                 (0, 1, 2) if j == ternary_at else (0, 1)
@@ -645,8 +645,9 @@ def witness_t_suite(a: Algebra, b: Algebra, eps: AlgebraMorphism,
         )
     vectors = [t_witness_vector(a, b, e, f, n) for n in range(max_degree + 1)]
     report = _witness_report(
-        "paired_idempotents", secondary_system(a, b, eps, max_degree), vectors,
-        lambda n: secondary_system(a, b, eps, n), theta_degree, caps,
+        "paired_idempotents", secondary_system(a, b, eps, max_degree, caps),
+        vectors, lambda n: secondary_system(a, b, eps, n, caps), theta_degree,
+        caps,
     )
     report["membership_above_direct_check"] = "certified by subcomplex containment"
     return report

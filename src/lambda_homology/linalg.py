@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import ValidationError
 
 #: above this fill ratio the elimination switches to a dense representation
 DENSE_THRESHOLD = 0.25
@@ -377,7 +377,7 @@ class Subspace:
 
     Every basis carries a set of pivot columns at which the basis rows form
     an identity pattern (row r is 1 at pivots[r] and 0 at the other pivots).
-    Membership, coordinates, and complement projectors only need that much.
+    Membership and complement projectors only need that much.
     A basis may additionally be the reduced echelon form, which is canonical:
     equality and serialization canonicalize lazily so that hot paths can
     keep cheaper kernel-shaped bases.
@@ -434,32 +434,15 @@ class Subspace:
 
     # ----------------------------------------------------------- membership
 
-    def residual(self, vec: dict) -> dict:
-        """vec minus its projection onto the basis; empty iff contained."""
+    def contains(self, vec: dict) -> bool:
+        """Whether vec minus its projection onto the basis is zero."""
         f = self.field
         out = dict(vec)
-        rows = self.basis.rows
-        for pcol, row in zip(self.pivots, rows):
+        for pcol, row in zip(self.pivots, self.basis.rows):
             c = out.get(pcol)
             if c:
                 f.axpy_row(out, row, f.neg(c))
-        return out
-
-    def contains(self, vec: dict) -> bool:
-        return not self.residual(vec)
-
-    def coords_of(self, vec: dict) -> dict:
-        """Coordinates of vec in the echelon basis; raises if it escapes."""
-        if not self.contains(vec):
-            raise InternalCheckError(
-                "vector escapes subspace", ambient_dim=self.ambient_dim
-            )
-        coords = {}
-        for r, pcol in enumerate(self.pivots):
-            c = vec.get(pcol)
-            if c:
-                coords[r] = c
-        return coords
+        return not out
 
     # ---------------------------------------------------------- operations
 

@@ -17,8 +17,9 @@ stacked linear system per degree:
 ``compute_theta`` and ``maximality_probe``; the probe reads the first block
 each excluded unit vector breaks off the column supports of the blocks.
 
-Boundary ranks, homology, and induced maps are computed against ambient
-coordinates wherever possible, since subcomplex bases can be large.
+Boundary images and ranks are computed once, in ambient coordinates since
+subcomplex bases can be large; induced maps on homology are ranks computed
+from those cached images and ranks (see ``induced_theta_map``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .linalg import (
     Subspace,
     kernel_of_rows_raw,
     rank,
-    rref,
 )
 
 __all__ = [
@@ -160,11 +160,7 @@ class LambdaSystem:
                     degree=n, dim=d, cap=caps.max_ambient_dim,
                 )
         for (n, i), labs in self.labels.items():
-            if len(labs) > caps.max_index_size:
-                raise ResourceCapError(
-                    "candidate set exceeds cap",
-                    degree=n, position=i, size=len(labs), cap=caps.max_index_size,
-                )
+            caps.check_index_size(n, i, len(labs))
 
     def index_sizes(self) -> dict:
         return {f"{n},{i}": len(labs) for (n, i), labs in sorted(self.labels.items())}
@@ -568,56 +564,21 @@ def check_lambda_morphism(mor: LambdaMorphism) -> dict:
     return {"ok": not failures, "assignments": assignments, "failures": failures}
 
 
-class QuotientBasis:
-    """Homology coordinates for one degree: kernel modulo boundary image."""
+def homology_quotients(theta: ThetaComplex, up_to: int) -> list[list[dict]]:
+    """Cycle rows of degrees 0..up_to (inclusive), in ambient coordinates.
 
-    def __init__(self, kernel: Subspace, image: Subspace):
-        f = kernel.field
-        self.kernel = kernel
-        coords = [kernel.coords_of(row) for row in image.basis.rows]
-        self._rows, pivots = rref(f, coords, kernel.dim, full=True)
-        self._pivots = pivots
-        pivset = set(pivots)
-        self.free = tuple(c for c in range(kernel.dim) if c not in pivset)
-        self.dim = len(self.free)
-
-    def class_of(self, vec: dict) -> dict:
-        f = self.kernel.field
-        k = self.kernel.coords_of(vec)
-        for pcol, row in zip(self._pivots, self._rows):
-            c = k.get(pcol)
-            if c:
-                f.axpy_row(k, row, f.neg(c))
-        return {j: k[c] for j, c in enumerate(self.free) if c in k}
-
-    def representative(self, j: int) -> dict:
-        return dict(self.kernel.basis.rows[self.free[j]])
-
-
-def _kernel_of_restricted_boundary(theta: ThetaComplex, n: int) -> Subspace:
-    """{v in the subcomplex at degree n : boundary v = 0}, ambient coords."""
+    Degree 0 is the whole basis.  Above it the cycles are the kernel of the
+    cached boundary images on the basis coefficients, mapped back onto the
+    basis once; no boundary is rebuilt.
+    """
     f = theta.system.field
-    sub = theta.subspaces[n]
-    amb = sub.ambient_dim
-    if n == 0:
-        return sub
-    rows = []
-    if not sub.is_full:
-        rows.extend(r for r in sub.complement_projector().rows if r)
-    bnd = theta.system.boundary_matrix(n)
-    rows.extend(r for r in bnd.rows if r)
-    return kernel_of_rows_raw(f, rows, amb)
-
-
-def homology_quotients(theta: ThetaComplex, up_to: int) -> list[QuotientBasis]:
-    """Quotient bases for degrees 0..up_to (inclusive)."""
-    f = theta.system.field
-    out = []
-    for n in range(up_to + 1):
-        kern = _kernel_of_restricted_boundary(theta, n)
-        img_rows = theta.boundary_image_rows(n + 1)
-        image = Subspace.from_vectors(f, theta.system.dims[n], img_rows)
-        out.append(QuotientBasis(kern, image))
+    out = [list(theta.subspaces[0].basis.rows)]
+    for n in range(1, up_to + 1):
+        basis = theta.subspaces[n].basis
+        img = theta.boundary_image_rows(n)
+        columns = Matrix(f, len(img), theta.system.dims[n - 1], img).transpose()
+        coeffs = kernel_of_rows_raw(f, columns.rows, basis.nrows).basis
+        out.append(coeffs.mul(basis).rows)
     return out
 
 
@@ -627,11 +588,15 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
 
     Verifies degreewise that the source subcomplex maps into the target one
     and that the map commutes with the boundaries (vector-wise, in ambient
-    coordinates), then computes the induced maps on homology as maps of
-    quotients.  Escape of the image signals a broken certificate and raises.
+    coordinates).  Escape of the image signals a broken certificate and
+    raises.  The image of H_n is (f(Z_src) + B_tgt) / B_tgt, so its rank is
+    the rank of the source cycles' images stacked on the target's boundary
+    image rows, minus the target's rank of d_{n+1}.
     """
     depth = min(mor.max_degree, theta_src.max_degree, theta_tgt.max_degree)
     f = mor.source.field
+    table_src = theta_src.homology()["entries"]
+    table_tgt = theta_tgt.homology()["entries"]
     for n in range(depth + 1):
         tgt = theta_tgt.subspaces[n]
         for idx, row in enumerate(theta_src.subspaces[n].basis.rows):
@@ -642,8 +607,9 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
                     degree=n, basis_index=idx,
                 )
     for n in range(1, depth + 1):
+        src_images = theta_src.boundary_image_rows(n)
         for idx, row in enumerate(theta_src.subspaces[n].basis.rows):
-            via_src = mor.apply(n - 1, theta_src.system.apply_boundary(n, row))
+            via_src = mor.apply(n - 1, src_images[idx])
             via_tgt = theta_tgt.system.apply_boundary(n, mor.apply(n, row))
             if via_src != via_tgt:
                 raise InternalCheckError(
@@ -657,21 +623,20 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
         "homology_maps": [],
     }
     if valid >= 0:
-        q_src = homology_quotients(theta_src, valid)
-        q_tgt = homology_quotients(theta_tgt, valid)
+        cycles = homology_quotients(theta_src, valid)
         for n in range(valid + 1):
-            cols = []
-            for j in range(q_src[n].dim):
-                img = mor.apply(n, q_src[n].representative(j))
-                cols.append(q_tgt[n].class_of(img))
-            hmat = Matrix.from_columns(f, q_tgt[n].dim, cols)
-            r = rank(hmat)
+            rows = [mor.apply(n, z) for z in cycles[n]]
+            rows.extend(theta_tgt.boundary_image_rows(n + 1))
+            stacked = Matrix(f, len(rows), theta_tgt.system.dims[n], rows)
+            r = rank(stacked) - table_tgt[n]["rank_d_n_plus_1"]
+            b_src = table_src[n]["betti"]
+            b_tgt = table_tgt[n]["betti"]
             report["homology_maps"].append({
                 "n": n,
-                "source_betti": q_src[n].dim,
-                "target_betti": q_tgt[n].dim,
+                "source_betti": b_src,
+                "target_betti": b_tgt,
                 "rank": r,
-                "isomorphism": r == q_src[n].dim == q_tgt[n].dim,
+                "isomorphism": r == b_src == b_tgt,
             })
     return report
 

@@ -152,6 +152,46 @@ def test_cap_exceeded_exits_2(specs):
     assert body["details"]["cap"] == 4
 
 
+# On Linux a child's ru_maxrss starts at the resident size of the process
+# that spawned it, and this test process can be large.  A small interpreter
+# spawns the CLI instead and reports the CLI's exit code and peak (KiB).
+SPAWN_AND_MEASURE = """
+import os, sys
+pid = os.posix_spawn(sys.executable,
+                     [sys.executable, "-m", "lambda_homology", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("construction, degree, extra, first_over", [
+    ("sphere2", 9, {}, 7),
+    ("secondary", 15, {"second_algebra": {"builtin": "ground_field"},
+                       "epsilon": "unit"}, 9),
+], ids=["sphere2", "secondary"])
+def test_index_cap_stops_before_enumerating(tmp_path, construction, degree,
+                                            extra, first_over):
+    """Candidate counts grow factorially or exponentially with the degree,
+    so the cap is checked on the count before any label is built: the run
+    names the first degree over 720 and stays small."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "construction": construction, "algebra": {"builtin": "ground_field"},
+        "max_degree": degree, **extra,
+    }))
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", SPAWN_AND_MEASURE, "homology", str(spec)],
+        capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=120)
+    code, peak_kib = map(int, r.stderr.split()[-2:])
+    assert code == 2, r.stdout + r.stderr
+    body = json.loads(r.stdout)
+    assert body["message"] == "candidate set exceeds cap"
+    assert body["details"]["degree"] == first_over
+    assert peak_kib < 60 * 1024
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--cap-dim", "0"), ("--cap-index", "0"), ("--cap-dim", "-3"),
 ], ids=["dim-zero", "index-zero", "dim-negative"])

@@ -344,10 +344,14 @@ def test_compare_reports_face_difference():
 
 
 def test_fiber_cap(dual, two_level):
-    caps = dataclasses.replace(DEFAULT_CAPS, max_fiber_size=1)
-    with pytest.raises(ResourceCapError):
+    # the orderings of a fiber are counted against the index cap before
+    # the builder enumerates them
+    caps = dataclasses.replace(DEFAULT_CAPS, max_index_size=1)
+    with pytest.raises(ResourceCapError) as err:
         higher_hochschild_system(dual, Bimodule.regular(dual), two_level,
                                  caps=caps)
+    assert err.value.message == "candidate set exceeds cap"
+    assert err.value.details["size"] > 1
 
 
 def test_index_cap(dual, circle4):

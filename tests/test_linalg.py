@@ -10,6 +10,9 @@ from lambda_homology.linalg import (
     DENSE_THRESHOLD,
     Matrix,
     Subspace,
+    _rref_dense_fp_numpy,
+    _rref_dense_python,
+    _rref_sparse,
     kernel_of_rows,
     kernel_of_rows_raw,
     rank,
@@ -215,6 +218,61 @@ def test_rank_does_not_depend_on_orientation(m):
     else:
         expect = rank_dense_mod(dense, m.field.p)
     assert rank(m) == rank(m.transpose()) == expect
+
+
+@st.composite
+def engine_case(draw):
+    """Rows over Q, F_7 or F_2147483629, about half their entries zero and
+    the rest drawn from all of [1, p) (small fractions over Q), plus some
+    rows that combine two drawn ones so that the rank can fall short."""
+    field = draw(st.sampled_from([Q, F7, F_BIG]))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 8))
+    if field is Q:
+        nonzero = st.builds(lambda a, b: Q.parse(f"{a}/{b}"),
+                            st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    entries = st.one_of(st.just(field.zero), nonzero)
+    rows = []
+    for _ in range(nrows):
+        cells = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append({c: v for c, v in enumerate(cells) if v})
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        a, b = draw(nonzero), draw(nonzero)
+        row = dict(rows[i])
+        field.scale_row(row, a)
+        field.axpy_row(row, rows[j], b)
+        rows.append(row)
+    return field, [r for r in rows if r], ncols
+
+
+@given(engine_case(), st.booleans())
+def test_elimination_engines_agree(case, full):
+    """The sparse, dense and (over F_p) numpy engines on copies of the same
+    rows: identical reduced forms with ``full``, otherwise identical pivots
+    and equal row spans."""
+    field, rows, ncols = case
+    engines = [_rref_sparse, _rref_dense_python]
+    if field.kind == "Fp":
+        engines.append(_rref_dense_fp_numpy)
+    results = [engine(field, [dict(r) for r in rows], ncols, full)
+               for engine in engines]
+    dense = Matrix(field, len(rows), ncols, rows).to_dense()
+    if field is Q:
+        expect = rank_dense([[Fraction(x) for x in row] for row in dense])
+    else:
+        expect = rank_dense_mod(dense, field.p)
+    first_rows, first_pivots = results[0]
+    assert len(first_pivots) == expect
+    span = Subspace.from_vectors(field, ncols, first_rows)
+    for out_rows, pivots in results[1:]:
+        assert pivots == first_pivots
+        if full:
+            assert out_rows == first_rows
+        else:
+            assert Subspace.from_vectors(field, ncols, out_rows) == span
 
 
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])

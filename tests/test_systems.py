@@ -9,7 +9,7 @@ from lambda_homology.config import DEFAULT_CAPS
 from lambda_homology.constructions import hochschild_system, higher_hochschild_system
 from lambda_homology.errors import InternalCheckError, ResourceCapError, ValidationError
 from lambda_homology.fields import Rationals
-from lambda_homology.linalg import Matrix, Subspace
+from lambda_homology.linalg import Matrix, Subspace, rank
 from lambda_homology.simplicial import circle
 from lambda_homology import systems
 from lambda_homology.systems import (
@@ -241,16 +241,40 @@ def test_homology_is_computed_once(dual, monkeypatch):
 def test_homology_quotients_classify_cycles(dual):
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(3))
     theta = compute_theta(sys_)
-    quots = homology_quotients(theta, 2)
-    assert [q.dim for q in quots] == theta.betti()[:3]
-    q1 = quots[1]
-    # a boundary maps to the zero class
-    img = sys_.apply_boundary(2, {0: Q.one})
-    assert q1.class_of(img) == {}
-    # representatives map back to their own class
-    for j in range(q1.dim):
-        assert q1.class_of(q1.representative(j)) == {j: Q.one}
+    table = theta.homology()["entries"]
+    cycles = homology_quotients(theta, 2)
+    assert len(cycles) == 3
+    for n, rows in enumerate(cycles):
+        amb = sys_.dims[n]
+        for z in rows:
+            assert theta.subspaces[n].contains(z)
+            assert n == 0 or sys_.apply_boundary(n, z) == {}
+        cycle_span = Subspace.from_vectors(Q, amb, rows)
+        for b in theta.boundary_image_rows(n + 1):
+            assert cycle_span.contains(b)
+        assert rank(Matrix(Q, len(rows), amb, rows)) == len(rows)
+        assert len(rows) - table[n]["rank_d_n_plus_1"] == table[n]["betti"]
 
+
+@pytest.mark.parametrize("algebra", ["dual", "m2"])
+def test_induced_maps_of_identity_and_zero(request, algebra):
+    """The identity induces the identity on homology; the zero map has rank
+    0, an isomorphism exactly where the homology vanishes (M_2(k) on the
+    circle has betti [4, 0, 7])."""
+    a = request.getfixturevalue(algebra)
+    sys_ = higher_hochschild_system(a, Bimodule.regular(a), circle(3))
+    theta = compute_theta(sys_)
+    betti = theta.betti()
+    ident = LambdaMorphism.identity(sys_, sys_)
+    zero = LambdaMorphism(sys_, sys_, [Matrix.zeros(Q, d, d) for d in sys_.dims],
+                          label="zero")
+    for mor, expect in ((ident, betti), (zero, [0] * len(betti))):
+        maps = induced_theta_map(mor, theta, theta)["homology_maps"]
+        assert [h["rank"] for h in maps] == expect
+        assert [h["source_betti"] for h in maps] == betti
+        assert [h["target_betti"] for h in maps] == betti
+        assert [h["isomorphism"] for h in maps] == [
+            r == b for r, b in zip(expect, betti)]
 
 def test_identity_morphism_circle_to_classical_is_lambda(upper):
     m = Bimodule.regular(upper)
