@@ -61,10 +61,10 @@ def main(argv=None) -> int:
 
     field = parse_field_flag(args.field)
     base = ground_field_algebra(field)
-    big, _ = matrix_algebra(base, 2)
+    big, corner_emb = matrix_algebra(base, 2)
     bigmod, _ = matrix_bimodule(big, Bimodule.regular(base), 2)
 
-    corner = {0: field.one}  # e_11 in the matrix basis
+    corner = corner_emb.apply(base.unit)  # e_11
     w_suite = witness_w_suite(big, bigmod, circle(args.max_degree),
                               corner, corner)
     print_suite("module witness", w_suite)

@@ -5,6 +5,12 @@ a chosen basis; a bimodule carries left and right action tensors over such
 an algebra.  Elements are sparse coordinate vectors (dict index -> scalar).
 Validation checks the axioms exhaustively on basis triples, which is the
 honest thing to do at these dimensions.
+
+Two formats live here and nowhere else: the basis of the matrix
+extensions M_l(A) and M_l(M), ordered (row, col, inner index), with one
+product rule (``_matrix_products``) for the algebra and both actions, so
+callers reach block (0, 0) through the corner embeddings; and the JSON
+[i, j, k, "c"] quadruples (``_read_products``, ``_product_entries``).
 """
 
 from __future__ import annotations
@@ -387,100 +393,68 @@ def cyclic_group_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
+def _matrix_products(size: int, left_dim: int, right_dim: int, out_dim: int,
+                     pair) -> list[list[dict]]:
+    """Basis products of size x size matrices over a bilinear product.
+
+    A matrix basis is ordered (row, col, factor index) lexicographically, so
+    e_rc x_i has index ``(r * size + c) * dim + i``.  The product
+    (e_rc x_i)(e_cd y_j) is e_rd (x_i y_j) with x_i y_j = ``pair(i, j)``;
+    blocks whose inner indices differ multiply to zero.
+    """
+    table = [[{} for _ in range(size * size * right_dim)]
+             for _ in range(size * size * left_dim)]
+    for r, c, i, d, j in itertools.product(range(size), range(size), range(left_dim),
+                                           range(size), range(right_dim)):
+        prod = pair(i, j)
+        if prod:
+            base = (r * size + d) * out_dim
+            table[(r * size + c) * left_dim + i][(c * size + d) * right_dim + j] = {
+                base + t: v for t, v in prod.items()
+            }
+    return table
+
+
 def matrix_algebra(a: Algebra, size: int) -> tuple[Algebra, AlgebraMorphism]:
     """size x size matrices over a, with the corner embedding into slot (0,0).
 
-    Basis order is (row, col, inner basis index), lexicographic.  The corner
-    embedding is multiplicative; it is unital only for size 1, and the
-    morphism's ``unital`` flag records that.
+    Basis order is (row, col, inner basis index), lexicographic, so block
+    (0, 0) holds the first ``a.dim`` basis vectors.  The corner embedding is
+    multiplicative; it is unital only for size 1, and the morphism's
+    ``unital`` flag records that.
     """
     if size < 1:
         raise ValidationError("matrix size must be at least 1", size=size)
     f = a.field
     d = a.dim
-    dim = size * size * d
-
-    def flat(r: int, c: int, k: int) -> int:
-        return (r * size + c) * d + k
-
-    pairs = [[{} for _ in range(dim)] for _ in range(dim)]
-    for r1 in range(size):
-        for c1 in range(size):
-            for k1 in range(d):
-                i = flat(r1, c1, k1)
-                for c2 in range(size):
-                    for k2 in range(d):
-                        j = flat(c1, c2, k2)
-                        prod = a.pair(k1, k2)
-                        if prod:
-                            pairs[i][j] = {flat(r1, c2, t): v for t, v in prod.items()}
-    unit = {}
-    for r in range(size):
-        for k, v in a.unit.items():
-            unit[flat(r, r, k)] = v
+    pairs = _matrix_products(size, d, d, d, a.pair)
+    unit = {(r * size + r) * d + k: v for r in range(size) for k, v in a.unit.items()}
     label = f"M{size}({a.label})" if a.label else f"M{size}"
-    big = Algebra(f, dim, pairs, unit, label=label)
-    corner = Matrix.from_entries(
-        f, dim, d, [(flat(0, 0, k), k, f.one) for k in range(d)]
-    )
-    emb = AlgebraMorphism(a, big, corner, label="corner")
-    return big, emb
+    big = Algebra(f, size * size * d, pairs, unit, label=label)
+    corner = Matrix.from_entries(f, big.dim, d, [(k, k, f.one) for k in range(d)])
+    return big, AlgebraMorphism(a, big, corner, label="corner")
 
 
 def matrix_bimodule(big: Algebra, m: Bimodule, size: int) -> tuple[Bimodule, Matrix]:
     """size x size matrices over a bimodule, over the matching matrix algebra.
 
     Returns the bimodule together with the corner embedding matrix of the
-    underlying module spaces.
+    underlying module spaces; both bases are ordered as in ``matrix_algebra``.
     """
     f = m.field
     d = m.over.dim
     dm = m.dim
-    dim = size * size * dm
     if big.dim != size * size * d:
         raise ValidationError(
             "matrix algebra does not match bimodule base algebra",
             algebra_dim=big.dim,
             expected=size * size * d,
         )
-
-    def aflat(r: int, c: int, k: int) -> int:
-        return (r * size + c) * d + k
-
-    def mflat(r: int, c: int, k: int) -> int:
-        return (r * size + c) * dm + k
-
-    left = [[{} for _ in range(dim)] for _ in range(big.dim)]
-    right = [[{} for _ in range(big.dim)] for _ in range(dim)]
-    for r1 in range(size):
-        for c1 in range(size):
-            for k1 in range(d):
-                ai = aflat(r1, c1, k1)
-                for c2 in range(size):
-                    for k2 in range(dm):
-                        mj = mflat(c1, c2, k2)
-                        prod = m.left_pair(k1, k2)
-                        if prod:
-                            left[ai][mj] = {
-                                mflat(r1, c2, t): v for t, v in prod.items()
-                            }
-    for r1 in range(size):
-        for c1 in range(size):
-            for k1 in range(dm):
-                mj = mflat(r1, c1, k1)
-                for c2 in range(size):
-                    for k2 in range(d):
-                        ai = aflat(c1, c2, k2)
-                        prod = m.right_pair(k1, k2)
-                        if prod:
-                            right[mj][ai] = {
-                                mflat(r1, c2, t): v for t, v in prod.items()
-                            }
+    left = _matrix_products(size, d, dm, dm, m.left_pair)
+    right = _matrix_products(size, dm, d, dm, m.right_pair)
     label = f"M{size}({m.label})" if m.label else f"M{size}"
-    bigmod = Bimodule(big, dim, left, right, label=label)
-    corner = Matrix.from_entries(
-        f, dim, dm, [(mflat(0, 0, k), k, f.one) for k in range(dm)]
-    )
+    bigmod = Bimodule(big, size * size * dm, left, right, label=label)
+    corner = Matrix.from_entries(f, bigmod.dim, dm, [(k, k, f.one) for k in range(dm)])
     return bigmod, corner
 
 
@@ -498,6 +472,39 @@ def matrix_bimodule(big: Algebra, m: Bimodule, size: int) -> tuple[Bimodule, Mat
 # named_algebra.
 
 
+def _read_dim(obj: dict, spec: str) -> int:
+    if "dim" not in obj:
+        raise ValidationError(f"{spec} spec needs 'dim'")
+    dim = spec_ints(obj["dim"], "dim")
+    if dim < 0:
+        raise ValidationError("dim must not be negative", entry=dim)
+    return dim
+
+
+def _read_products(field, quads, what: str, shape: tuple[int, int, int],
+                   message: str) -> list[list[dict]]:
+    """A ``shape[0]`` x ``shape[1]`` table of sparse vectors of length
+    ``shape[2]`` from [i, j, k, "c"] quadruples; repeated entries add up."""
+    ni, nj, nk = shape
+    table = [[{} for _ in range(nj)] for _ in range(ni)]
+    for quad in spec_of(quads, what):
+        i, j, k, lit = spec_ints(quad, what, 4)
+        if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
+            raise ValidationError(message, entry=quad)
+        v = field.parse(lit)
+        if v:
+            table[i][j][k] = field.add(table[i][j].get(k, field.zero), v)
+    return [[_clean(entry) for entry in row] for row in table]
+
+
+def _product_entries(table: list[list[dict]], fmt) -> list[list]:
+    """The [i, j, k, "c"] quadruples of a product table, in index order."""
+    return [[i, j, k, fmt(v)]
+            for i, row in enumerate(table)
+            for j, entry in enumerate(row)
+            for k, v in sorted(entry.items())]
+
+
 def algebra_from_json(obj: dict, field=None) -> Algebra:
     if "builtin" in spec_of(obj, "algebra spec", dict):
         if field is None:
@@ -506,17 +513,9 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
         return named_algebra(field, obj["builtin"], **params)
     if field is None:
         field = field_from_json(obj.get("field", {"kind": "Q"}))
-    if "dim" not in obj:
-        raise ValidationError("algebra spec needs 'dim'")
-    dim = spec_ints(obj["dim"], "dim")
-    pairs = [[{} for _ in range(dim)] for _ in range(dim)]
-    for quad in spec_of(obj.get("mult", []), "mult"):
-        i, j, k, lit = spec_ints(quad, "mult", 4)
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ValidationError("mult entry out of range", entry=quad)
-        v = field.parse(lit)
-        if v:
-            pairs[i][j][k] = field.add(pairs[i][j].get(k, field.zero), v)
+    dim = _read_dim(obj, "algebra")
+    pairs = _read_products(field, obj.get("mult", []), "mult", (dim, dim, dim),
+                           "mult entry out of range")
     unit_list = obj.get("unit")
     if unit_list is None or len(spec_of(unit_list, "unit")) != dim:
         raise ValidationError("algebra spec needs a dense 'unit' of length dim")
@@ -525,9 +524,6 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
         v = field.parse(lit)
         if v:
             unit[k] = v
-    for i in range(dim):
-        for j in range(dim):
-            pairs[i][j] = _clean(pairs[i][j])
     a = Algebra(field, dim, pairs, unit, label=obj.get("label", ""))
     bad = validate_algebra(a)
     if bad:
@@ -537,13 +533,9 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
 
 def algebra_to_json(a: Algebra) -> dict:
     fmt = a.field.fmt
-    mult = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in sorted(a.pairs[i][j]):
-                mult.append([i, j, k, fmt(a.pairs[i][j][k])])
     unit = [fmt(a.unit.get(k, a.field.zero)) for k in range(a.dim)]
-    out = {"field": a.field.to_json(), "dim": a.dim, "mult": mult, "unit": unit}
+    out = {"field": a.field.to_json(), "dim": a.dim,
+           "mult": _product_entries(a.pairs, fmt), "unit": unit}
     if a.label:
         out["label"] = a.label
     return out
@@ -555,31 +547,11 @@ def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
         if obj["builtin"] == "regular":
             return Bimodule.regular(over)
         raise ValidationError(f"unknown builtin bimodule {obj['builtin']!r}")
-    if "dim" not in obj:
-        raise ValidationError("bimodule spec needs 'dim'")
-    dim = spec_ints(obj["dim"], "dim")
-    left = [[{} for _ in range(dim)] for _ in range(over.dim)]
-    right = [[{} for _ in range(over.dim)] for _ in range(dim)]
-    for quad in spec_of(obj.get("left", []), "left"):
-        i, j, k, lit = spec_ints(quad, "left", 4)
-        if not (0 <= i < over.dim and 0 <= j < dim and 0 <= k < dim):
-            raise ValidationError("left action entry out of range", entry=quad)
-        v = field.parse(lit)
-        if v:
-            left[i][j][k] = field.add(left[i][j].get(k, field.zero), v)
-    for quad in spec_of(obj.get("right", []), "right"):
-        j, i, k, lit = spec_ints(quad, "right", 4)
-        if not (0 <= j < dim and 0 <= i < over.dim and 0 <= k < dim):
-            raise ValidationError("right action entry out of range", entry=quad)
-        v = field.parse(lit)
-        if v:
-            right[j][i][k] = field.add(right[j][i].get(k, field.zero), v)
-    for i in range(over.dim):
-        for j in range(dim):
-            left[i][j] = _clean(left[i][j])
-    for j in range(dim):
-        for i in range(over.dim):
-            right[j][i] = _clean(right[j][i])
+    dim = _read_dim(obj, "bimodule")
+    left = _read_products(field, obj.get("left", []), "left", (over.dim, dim, dim),
+                          "left action entry out of range")
+    right = _read_products(field, obj.get("right", []), "right", (dim, over.dim, dim),
+                           "right action entry out of range")
     m = Bimodule(over, dim, left, right, label=obj.get("label", ""))
     bad = validate_bimodule(m)
     if bad:
@@ -589,17 +561,8 @@ def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
 
 def bimodule_to_json(m: Bimodule) -> dict:
     fmt = m.field.fmt
-    left = []
-    for i in range(m.over.dim):
-        for j in range(m.dim):
-            for k in sorted(m.left[i][j]):
-                left.append([i, j, k, fmt(m.left[i][j][k])])
-    right = []
-    for j in range(m.dim):
-        for i in range(m.over.dim):
-            for k in sorted(m.right[j][i]):
-                right.append([j, i, k, fmt(m.right[j][i][k])])
-    out = {"dim": m.dim, "left": left, "right": right}
+    out = {"dim": m.dim, "left": _product_entries(m.left, fmt),
+           "right": _product_entries(m.right, fmt)}
     if m.label:
         out["label"] = m.label
     return out

@@ -453,22 +453,22 @@ def _verify_witness(args) -> tuple[dict, bool]:
     else:
         inner = ground_field_algebra(field)
     size = args.matrix_size
-    big, _ = matrix_algebra(inner, size)
+    big, corner_emb = matrix_algebra(inner, size)
+    # the default idempotent: the corner image of the unit
+    corner_unit = corner_emb.apply(inner.unit)
     if args.kind == "w":
         bigmod, _ = matrix_bimodule(big, Bimodule.regular(inner), size)
         e, mv = _witness_elements(args, big, bigmod, field)
         if e is None:
-            # corner unit of the matrix algebra, same element as module vector
-            e = {k: v for k, v in big.unit.items() if k < inner.dim}
-            mv = dict(e)
+            # the regular bimodule's basis is the algebra's, so e is also m
+            e, mv = corner_unit, dict(corner_unit)
         report = witness_w_suite(big, bigmod, circle(args.max_degree), e, mv,
                                  theta_degree=args.theta_degree, caps=caps)
     else:
         eps = _identity_morphism(big, big)
         e, f_vec = _witness_elements(args, big, None, field)
         if e is None:
-            e = {k: v for k, v in big.unit.items() if k < inner.dim}
-            f_vec = dict(big.unit)
+            e, f_vec = corner_unit, dict(big.unit)
         report = witness_t_suite(big, big, eps, e, f_vec, args.max_degree,
                                  theta_degree=args.theta_degree, caps=caps)
     passed = (

@@ -63,7 +63,7 @@ class TensorLayout:
     """Row-major coordinates for a tensor product of based factors.
 
     Slot 0 is the most significant: the index of slot t in a flat basis
-    code is ``code // strides[t] % dims[t]``; ``decode`` reads all of them.
+    code is ``code // strides[t] % dims[t]``.
     """
 
     __slots__ = ("dims", "strides", "total")
@@ -75,13 +75,6 @@ class TensorLayout:
             strides[t] = strides[t + 1] * dims[t + 1]
         self.strides = strides
         self.total = strides[0] * dims[0] if dims else 1
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            out.append(code % d)
-            code //= d
-        return tuple(reversed(out))
 
     def expand(self, field, slots) -> dict:
         """Tensor product of per-slot sparse vectors, as a sparse vector."""
@@ -665,18 +658,12 @@ def corner_chain_map(a: Algebra, m: Bimodule, corner_a: Matrix,
     field = a.field
     mats = []
     for n in range(max_degree + 1):
-        src = TensorLayout((m.dim,) + (a.dim,) * n)
-        tgt = TensorLayout(
-            (corner_m.nrows,) + (corner_a.nrows,) * n
-        )
+        tgt = TensorLayout((corner_m.nrows,) + (corner_a.nrows,) * n)
         if tgt.total != big_dims[n]:
             raise ValidationError("corner map shape mismatch", degree=n)
-        cols = []
-        for code in range(src.total):
-            idx = src.decode(code)
-            slots = [dict(corner_m.column(idx[0]))]
-            slots.extend(dict(corner_a.column(idx[j])) for j in range(1, n + 1))
-            cols.append(tgt.expand(field, slots))
+        # the source codes, in TensorLayout's row-major order
+        cols = [tgt.expand(field, [corner_m.column(idx[0]), *map(corner_a.column, idx[1:])])
+                for idx in itertools.product(range(m.dim), *[range(a.dim)] * n)]
         mats.append(Matrix.from_columns(field, big_dims[n], cols))
     return mats
 

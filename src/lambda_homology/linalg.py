@@ -502,9 +502,8 @@ class Subspace:
 
 def rank_and_kernel(m: Matrix) -> tuple[int, Subspace]:
     """Rank and kernel of a matrix acting on column vectors."""
-    rows, pivots = rref(m.field, [dict(r) for r in m.rows if r], m.ncols, full=True)
-    kernel_rows = kernel_rows_from_rref(m.field, rows, pivots, m.ncols)
-    return len(pivots), Subspace.from_vectors(m.field, m.ncols, kernel_rows)
+    kernel = kernel_of_rows(m.field, m.rows, m.ncols)
+    return m.ncols - kernel.dim, kernel
 
 
 def rank(m: Matrix) -> int:
@@ -519,10 +518,7 @@ def rank(m: Matrix) -> int:
 
 def kernel_of_rows(field, rows: Sequence[dict], ncols: int) -> Subspace:
     """Kernel of the linear map whose matrix has the given rows."""
-    rr, pivots = rref(field, [dict(r) for r in rows if r], ncols, full=True)
-    return Subspace.from_vectors(
-        field, ncols, kernel_rows_from_rref(field, rr, pivots, ncols)
-    )
+    return kernel_of_rows_raw(field, [dict(r) for r in rows if r], ncols).canonicalize()
 
 
 def kernel_of_rows_raw(field, rows: Sequence[dict], ncols: int) -> Subspace:

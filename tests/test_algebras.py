@@ -190,6 +190,28 @@ def test_spec_integers_are_read_strictly(q, ground, dual, part, entry):
     assert exc.value.details["entry"] == entry
 
 
+@pytest.mark.parametrize("spec, part, entry, message", [
+    ("algebra", "dim", -1, "dim must not be negative"),
+    ("bimodule", "dim", -1, "dim must not be negative"),
+    ("algebra", "mult", [0, 0, 2, "1"], "mult entry out of range"),
+    ("bimodule", "left", [2, 0, 0, "1"], "left action entry out of range"),
+    ("bimodule", "right", [0, 0, 2, "1"], "right action entry out of range"),
+])
+def test_spec_ranges_are_checked(q, dual, spec, part, entry, message):
+    if spec == "algebra":
+        obj = algebra_to_json(dual)
+    else:
+        obj = bimodule_to_json(Bimodule.regular(dual))
+    bad = dict(obj, **{part: entry if part == "dim" else obj[part] + [entry]})
+    with pytest.raises(ValidationError) as exc:
+        if spec == "algebra":
+            algebra_from_json(bad, field=q)
+        else:
+            bimodule_from_json(bad, over=dual)
+    assert exc.value.message == message
+    assert exc.value.details["entry"] == entry
+
+
 def test_named_algebra_dispatch(q):
     assert named_algebra(q, "ground_field").dim == 1
     assert named_algebra(q, "truncated_polynomial", order=3).dim == 3

@@ -311,6 +311,48 @@ def test_induced_map_on_theta(dual):
         assert entry["source_betti"] == entry["target_betti"]
 
 
+# Two hand-made systems with dims (1, 2) on which a morphism breaks
+# induced_theta_map's own checks: a target whose two d_0 candidates [1 0]
+# and [1 1] agree only on span{e0}, so e1 of a full source escapes θ_1;
+# and a degreewise map diag(1, 2) that is not a chain map for the boundary
+# [1 1] (the image of e1 has boundary 2, the boundary of e1 maps to 1).
+
+
+def _line_system(d0_candidates):
+    mats = {
+        (1, 0): [Matrix.from_dense(Q, [row]) for row in d0_candidates],
+        (1, 1): [Matrix.zeros(Q, 1, 2)],
+    }
+    labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
+
+    def column_fn(n, i, lab, x):
+        return dict(mats[(n, i)][lab].column(x))
+
+    return LambdaSystem(Q, 1, (1, 2), labels, column_fn)
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("target", "morphism image escapes the target subcomplex"),
+    ("map", "morphism does not commute with the boundary"),
+])
+def test_induced_map_checks_name_degree_and_basis_row(broken, message):
+    src = _line_system([[1, 1]])
+    if broken == "target":
+        tgt = _line_system([[1, 0], [1, 1]])
+        mor = LambdaMorphism.identity(src, tgt)
+    else:
+        tgt = src
+        mor = LambdaMorphism(src, tgt, [Matrix.identity(Q, 1),
+                                        Matrix.from_dense(Q, [[1, 0], [0, 2]])])
+    th_src, th_tgt = compute_theta(src), compute_theta(tgt)
+    assert th_src.dims() == [1, 2]
+    assert th_tgt.dims() == ([1, 1] if broken == "target" else [1, 2])
+    with pytest.raises(InternalCheckError) as info:
+        induced_theta_map(mor, th_src, th_tgt)
+    assert info.value.message == message
+    assert info.value.details == {"degree": 1, "basis_index": 1}
+
+
 def test_caps_are_enforced(dual):
     caps = dataclasses.replace(DEFAULT_CAPS, max_ambient_dim=10)
     sys_ = hochschild_system(dual, Bimodule.regular(dual), 3)
