@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ValidationError, spec_ints, spec_of
-from .fields import field_from_json
+from .fields import field_of
 from .linalg import Matrix
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "algebra_to_json",
     "bimodule_from_json",
     "bimodule_to_json",
+    "MORPHISM_BUILTINS",
     "morphism_from_json",
     "morphism_to_json",
     "vector_from_json",
@@ -168,6 +169,10 @@ class AlgebraMorphism:
     """
 
     def __init__(self, source: Algebra, target: Algebra, matrix: Matrix, label: str = ""):
+        if source.field != target.field:
+            raise ValidationError(
+                f"morphism source is over {source.field!r} but target over {target.field!r}",
+                source_field=source.field.to_json(), target_field=target.field.to_json())
         if matrix.ncols != source.dim or matrix.nrows != target.dim:
             raise ValidationError(
                 "morphism matrix shape mismatch",
@@ -462,14 +467,17 @@ def matrix_bimodule(big: Algebra, m: Bimodule, size: int) -> tuple[Bimodule, Mat
 # JSON formats
 # ---------------------------------------------------------------------------
 #
-# algebra:  {"field": {"kind": "Q"}, "dim": d,
+# algebra:  {"field": {"kind": "Fp", "p": 7}, "dim": d,
 #            "mult": [[i, j, k, "num/den"], ...], "unit": ["...", ...]}
 # bimodule: {"dim": m, "left": [[a_i, m_j, m_k, "c"], ...],
 #            "right": [[m_j, a_i, m_k, "c"], ...]}
 # morphism: {"matrix": [[target_row, source_col, "c"], ...]}
 #
-# Omitted entries are zero.  A {"builtin": ...} algebra object delegates to
-# named_algebra.
+# Omitted entries are zero; the field rule is fields.field_of.  A
+# {"builtin": ...} algebra object delegates to named_algebra; a morphism
+# may also be one of MORPHISM_BUILTINS, as a string or as {"builtin": name}.
+
+MORPHISM_BUILTINS = ("unit", "identity")
 
 
 def _read_dim(obj: dict, spec: str) -> int:
@@ -506,13 +514,11 @@ def _product_entries(table: list[list[dict]], fmt) -> list[list]:
 
 
 def algebra_from_json(obj: dict, field=None) -> Algebra:
-    if "builtin" in spec_of(obj, "algebra spec", dict):
-        if field is None:
-            field = field_from_json(obj.get("field", {"kind": "Q"}))
+    """An algebra spec read over ``field``, if given, else over its own."""
+    field = field_of(spec_of(obj, "algebra spec", dict), field)
+    if "builtin" in obj:
         params = {k: v for k, v in obj.items() if k not in ("builtin", "field")}
         return named_algebra(field, obj["builtin"], **params)
-    if field is None:
-        field = field_from_json(obj.get("field", {"kind": "Q"}))
     dim = _read_dim(obj, "algebra")
     pairs = _read_products(field, obj.get("mult", []), "mult", (dim, dim, dim),
                            "mult entry out of range")
@@ -568,26 +574,39 @@ def bimodule_to_json(m: Bimodule) -> dict:
     return out
 
 
-def morphism_from_json(obj: dict, source: Algebra, target: Algebra) -> AlgebraMorphism:
-    if obj == "unit" or (isinstance(obj, dict) and obj.get("builtin") == "unit"):
+def morphism_from_json(obj, source: Algebra, target: Algebra) -> AlgebraMorphism:
+    """A morphism spec: a sparse matrix, or a builtin (``MORPHISM_BUILTINS``)
+    named alone or as ``{"builtin": name}``."""
+    if isinstance(obj, str):
+        obj = {"builtin": obj}
+    builtin = spec_of(obj, "morphism spec", dict).get("builtin")
+    field = source.field
+    if builtin == "unit":
         # the unit map from a one-dimensional algebra spanned by its unit
-        if source.dim != 1 or source.unit != {0: source.field.one}:
+        if source.dim != 1 or source.unit != {0: field.one}:
             raise ValidationError(
                 "builtin 'unit' morphism needs a one-dimensional source spanned by 1"
             )
-        mat = Matrix.from_columns(source.field, target.dim, [dict(target.unit)])
+        mat = Matrix.from_columns(field, target.dim, [dict(target.unit)])
         return AlgebraMorphism(source, target, mat, label="unit")
-    field = source.field
-    spec_of(obj, "morphism spec", dict)
-    entries = []
-    for trip in spec_of(obj.get("matrix", []), "morphism matrix"):
-        r, c, lit = spec_ints(trip, "morphism matrix", 3)
-        entries.append((r, c, field.parse(lit)))
-    mat = Matrix.from_entries(field, target.dim, source.dim, entries)
-    mor = AlgebraMorphism(source, target, mat, label=obj.get("label", ""))
+    if builtin == "identity":
+        if source.dim != target.dim:
+            raise ValidationError("identity morphism needs equal dimensions")
+        mat, label = Matrix.identity(field, source.dim), "identity"
+        failure = "identity is not multiplicative between these algebras"
+    elif builtin is None:
+        entries = []
+        for trip in spec_of(obj.get("matrix", []), "morphism matrix"):
+            r, c, lit = spec_ints(trip, "morphism matrix", 3)
+            entries.append((r, c, field.parse(lit)))
+        mat = Matrix.from_entries(field, target.dim, source.dim, entries)
+        label, failure = obj.get("label", ""), "morphism is not multiplicative"
+    else:
+        raise ValidationError(f"unknown builtin morphism {builtin!r}")
+    mor = AlgebraMorphism(source, target, mat, label=label)
     bad = mor.validate()
     if bad:
-        raise ValidationError("morphism is not multiplicative", violations=bad[:5])
+        raise ValidationError(failure, violations=bad[:5])
     return mor
 
 

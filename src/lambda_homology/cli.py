@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from .algebras import (
+    MORPHISM_BUILTINS,
     Bimodule,
     algebra_from_json,
     bimodule_from_json,
-    ground_field_algebra,
     matrix_algebra,
     matrix_bimodule,
     morphism_from_json,
@@ -38,8 +38,8 @@ from .constructions import (
     witness_w_suite,
 )
 from .errors import ResourceCapError, ValidationError, spec_ints, spec_of
-from .fields import field_from_json, parse_field_flag
-from .linalg import Matrix, Subspace
+from .fields import field_of, parse_field_flag
+from .linalg import Subspace
 from .simplicial import circle, simplicial_from_json, simplicial_to_json
 from .systems import compute_theta, validate_subcomplex
 
@@ -53,9 +53,9 @@ def _read_json(path: Path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read input file {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -66,19 +66,10 @@ def _resolve(obj, base: Path):
     return obj, base
 
 
-def _load_field(spec: dict, override):
-    if override is not None:
-        return override
-    return field_from_json(spec.get("field", {"kind": "Q"}))
-
-
 def _load_simplicial(obj, base: Path, max_degree):
-    obj, base = _resolve(obj, base)
-    if isinstance(obj, dict) and obj.get("builtin") == "circle":
-        levels = obj.get("max_level", max_degree)
-        if levels is None:
-            raise ValidationError("circle spec needs 'max_level' or --max-degree")
-        return circle(spec_ints(levels, "max_level"))
+    obj, _ = _resolve(obj, base)
+    if isinstance(obj, dict) and "builtin" in obj and max_degree is not None:
+        obj = {"max_level": max_degree, **obj}
     x = simplicial_from_json(obj)
     if max_degree is not None and max_degree < x.max_level:
         x = x.truncate(max_degree)
@@ -94,7 +85,7 @@ def load_system(spec, base: Path, field=None, max_degree=None,
     kind = spec.get("construction")
     if kind is None:
         raise ValidationError("system spec needs a 'construction' key")
-    f = _load_field(spec, field)
+    f = field_of(spec, field)
     degree = max_degree
     if degree is None and spec.get("max_degree") is not None:
         degree = spec_ints(spec["max_degree"], "max_degree")
@@ -134,31 +125,10 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         a = algebra()
         b = algebra("second_algebra")
         eps_obj = spec.get("epsilon", "unit")
-        if isinstance(eps_obj, str) and eps_obj not in ("unit", "identity"):
+        if eps_obj not in MORPHISM_BUILTINS:
             eps_obj, _ = _resolve(eps_obj, base)
-        if eps_obj == "identity" or (
-            isinstance(eps_obj, dict) and eps_obj.get("builtin") == "identity"
-        ):
-            eps = _identity_morphism(b, a)
-        else:
-            eps = morphism_from_json(eps_obj, b, a)
-        return secondary_system(a, b, eps, degree, caps)
+        return secondary_system(a, b, morphism_from_json(eps_obj, b, a), degree, caps)
     raise ValidationError(f"unknown construction {kind!r}")
-
-
-def _identity_morphism(b, a):
-    from .algebras import AlgebraMorphism
-
-    if b.dim != a.dim:
-        raise ValidationError("identity morphism needs equal dimensions")
-    eps = AlgebraMorphism(b, a, Matrix.identity(a.field, a.dim), label="identity")
-    bad = eps.validate()
-    if bad:
-        raise ValidationError(
-            "identity is not multiplicative between these algebras",
-            violations=bad[:5],
-        )
-    return eps
 
 
 def _caps_from_args(args) -> ResourceCaps:
@@ -176,6 +146,22 @@ def _caps_from_args(args) -> ResourceCaps:
 def _field_from_args(args):
     flag = getattr(args, "field", None)
     return parse_field_flag(flag) if flag else None
+
+
+def _system_from_args(args, spec: str):
+    """The system spec file ``spec`` read with the common flags, and the caps."""
+    caps = _caps_from_args(args)
+    path = Path(spec)
+    system = load_system(path.name, path.parent, field=_field_from_args(args),
+                         max_degree=args.max_degree, caps=caps)
+    return system, caps
+
+
+def _inner_algebra(args):
+    """The ``--algebra`` file of ``verify morita`` and ``verify witness``,
+    by default the ground field."""
+    obj = _read_json(Path(args.algebra)) if args.algebra else {"builtin": "ground_field"}
+    return algebra_from_json(obj, field=_field_from_args(args))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +231,7 @@ def write_report(report: dict, args, tsv_fn=None) -> None:
 
 
 def cmd_homology(args) -> int:
-    caps = _caps_from_args(args)
-    system = load_system(args.spec, Path(args.spec).parent,
-                         field=_field_from_args(args),
-                         max_degree=args.max_degree, caps=caps)
+    system, caps = _system_from_args(args, args.spec)
     theta = compute_theta(system, caps)
     report = theta.homology()
     if args.emit_bases:
@@ -258,10 +241,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    caps = _caps_from_args(args)
-    system = load_system(args.spec, Path(args.spec).parent,
-                         field=_field_from_args(args),
-                         max_degree=args.max_degree, caps=caps)
+    system, caps = _system_from_args(args, args.spec)
     theta = compute_theta(system, caps)
     report = theta.to_json(emit_bases=args.emit_bases)
     write_report(report, args, _theta_tsv)
@@ -286,12 +266,8 @@ def cmd_circle(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    caps = _caps_from_args(args)
-    f = _field_from_args(args)
-    left = load_system(args.left, Path(args.left).parent, field=f,
-                       max_degree=args.max_degree, caps=caps)
-    right = load_system(args.right, Path(args.right).parent, field=f,
-                        max_degree=args.max_degree, caps=caps)
+    left, caps = _system_from_args(args, args.left)
+    right, _ = _system_from_args(args, args.right)
     report = compare_systems(left, right, with_homology=args.betti, caps=caps)
     write_report(report, args)
     return 0 if report["equal"] else 1
@@ -315,28 +291,29 @@ def _verify_simplicial(args) -> tuple[dict, bool]:
     return report, not bad
 
 
+def _axioms_report(check: str, read, facts) -> tuple[dict, bool]:
+    """The report of ``check`` on the object ``read()`` returns: its reader's
+    ``ValidationError`` is the failure, else ``facts(obj)`` fills the pass."""
+    try:
+        obj = read()
+    except ValidationError as exc:
+        return {
+            "check": check,
+            "passed": False,
+            "violations": exc.details.get("violations", [str(exc)]),
+        }, False
+    return {"check": check, **facts(obj), "violations": [], "passed": True}, True
+
+
 def _verify_algebra(args) -> tuple[dict, bool]:
     if not args.input:
         raise ValidationError("verify algebra needs --input")
     obj = _read_json(Path(args.input))
     field = _field_from_args(args)
-    try:
-        a = algebra_from_json(obj, field=field)
-    except ValidationError as exc:
-        return {
-            "check": "algebra_axioms",
-            "passed": False,
-            "violations": exc.details.get("violations", [str(exc)]),
-        }, False
-    report = {
-        "check": "algebra_axioms",
-        "label": a.label,
-        "dim": a.dim,
-        "commutative": a.is_commutative(),
-        "violations": [],
-        "passed": True,
-    }
-    return report, True
+    return _axioms_report(
+        "algebra_axioms", lambda: algebra_from_json(obj, field=field),
+        lambda a: {"label": a.label, "dim": a.dim,
+                   "commutative": a.is_commutative()})
 
 
 def _verify_morphism(args) -> tuple[dict, bool]:
@@ -347,31 +324,16 @@ def _verify_morphism(args) -> tuple[dict, bool]:
     field = _field_from_args(args)
     src = algebra_from_json(_read_json(Path(args.source)), field=field)
     tgt = algebra_from_json(_read_json(Path(args.target)), field=field)
-    try:
-        mor = morphism_from_json(_read_json(Path(args.input)), src, tgt)
-    except ValidationError as exc:
-        return {
-            "check": "algebra_morphism",
-            "passed": False,
-            "violations": exc.details.get("violations", [str(exc)]),
-        }, False
-    report = {
-        "check": "algebra_morphism",
-        "unital": mor.unital,
-        "multiplicative": True,
-        "violations": [],
-        "passed": True,
-    }
-    return report, True
+    return _axioms_report(
+        "algebra_morphism",
+        lambda: morphism_from_json(_read_json(Path(args.input)), src, tgt),
+        lambda mor: {"unital": mor.unital, "multiplicative": True})
 
 
 def _verify_subcomplex(args) -> tuple[dict, bool]:
     if not args.spec or not args.subspaces:
         raise ValidationError("verify subcomplex needs --spec and --subspaces")
-    caps = _caps_from_args(args)
-    system = load_system(args.spec, Path(args.spec).parent,
-                         field=_field_from_args(args),
-                         max_degree=args.max_degree, caps=caps)
+    system, _ = _system_from_args(args, args.spec)
     data = spec_of(_read_json(Path(args.subspaces)), "subspaces file", dict)
     degrees = data.get("subspaces")
     if not isinstance(degrees, list):
@@ -400,11 +362,7 @@ def _verify_subcomplex(args) -> tuple[dict, bool]:
 
 
 def _verify_morita(args) -> tuple[dict, bool]:
-    field = _field_from_args(args)
-    if args.algebra:
-        a = algebra_from_json(_read_json(Path(args.algebra)), field=field)
-    else:
-        a = ground_field_algebra(field or parse_field_flag("q"))
+    a = _inner_algebra(args)
     m = Bimodule.regular(a)
     caps = _caps_from_args(args)
     if args.max_degree is None:
@@ -426,10 +384,11 @@ def _verify_morita(args) -> tuple[dict, bool]:
     return report, report["passed"]
 
 
-def _witness_elements(args, big, bigmod, field):
+def _witness_elements(args, big, bigmod):
     """Elements file for the witness suites; None means use the defaults."""
     if not args.elements:
         return None, None
+    field = big.field
     data = spec_of(_read_json(Path(args.elements)), "elements file", dict)
     if "e" not in data:
         raise ValidationError("elements file needs 'e'")
@@ -444,29 +403,25 @@ def _witness_elements(args, big, bigmod, field):
 
 
 def _verify_witness(args) -> tuple[dict, bool]:
-    field = _field_from_args(args) or parse_field_flag("q")
     caps = _caps_from_args(args)
     if args.max_degree is None:
         raise ValidationError("verify witness needs --max-degree")
-    if args.algebra:
-        inner = algebra_from_json(_read_json(Path(args.algebra)), field=field)
-    else:
-        inner = ground_field_algebra(field)
+    inner = _inner_algebra(args)
     size = args.matrix_size
     big, corner_emb = matrix_algebra(inner, size)
     # the default idempotent: the corner image of the unit
     corner_unit = corner_emb.apply(inner.unit)
     if args.kind == "w":
         bigmod, _ = matrix_bimodule(big, Bimodule.regular(inner), size)
-        e, mv = _witness_elements(args, big, bigmod, field)
+        e, mv = _witness_elements(args, big, bigmod)
         if e is None:
             # the regular bimodule's basis is the algebra's, so e is also m
             e, mv = corner_unit, dict(corner_unit)
         report = witness_w_suite(big, bigmod, circle(args.max_degree), e, mv,
                                  theta_degree=args.theta_degree, caps=caps)
     else:
-        eps = _identity_morphism(big, big)
-        e, f_vec = _witness_elements(args, big, None, field)
+        eps = morphism_from_json("identity", big, big)
+        e, f_vec = _witness_elements(args, big, None)
         if e is None:
             e, f_vec = corner_unit, dict(big.unit)
         report = witness_t_suite(big, big, eps, e, f_vec, args.max_degree,

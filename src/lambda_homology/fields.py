@@ -239,6 +239,14 @@ def field_from_json(obj) -> Rationals | PrimeField:
     raise ValidationError(f"unknown field kind {kind!r}", got=obj)
 
 
+def field_of(spec: dict, override=None) -> Rationals | PrimeField:
+    """The field a spec is read over: ``override`` if given, else the
+    spec's own ``"field"``, else Q."""
+    if override is not None:
+        return override
+    return field_from_json(spec["field"]) if "field" in spec else RATIONALS
+
+
 def parse_field_flag(flag: str) -> Rationals | PrimeField:
     """Parse a CLI field override: 'q' or 'fp:<prime>'."""
     low = flag.strip().lower()

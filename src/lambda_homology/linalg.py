@@ -322,8 +322,7 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
     return out_rows, tuple(piv_cols)
 
 
-def rref(field, rows: Sequence[dict], ncols: int, full: bool = True,
-         dense_threshold: float = DENSE_THRESHOLD):
+def rref(field, rows: Sequence[dict], ncols: int, full: bool = True):
     """Row-reduce sparse rows; returns (echelon rows, pivot columns).
 
     With ``full=True`` the result is the reduced row-echelon form (unique);
@@ -339,7 +338,7 @@ def rref(field, rows: Sequence[dict], ncols: int, full: bool = True,
         return [], ()
     nnz = sum(len(r) for r in work)
     density = nnz / (len(work) * ncols)
-    if density > dense_threshold:
+    if density > DENSE_THRESHOLD:
         if field.kind == "Fp" and field.p < 2**31:
             try:
                 return _rref_dense_fp_numpy(field, work, ncols, full)
@@ -383,7 +382,8 @@ class Subspace:
     keep cheaper kernel-shaped bases.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "canonical", "_canon")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "canonical", "_canon",
+                 "_row_at")
 
     def __init__(self, field, ambient_dim: int, basis: Matrix, pivots: tuple,
                  canonical: bool = True):
@@ -393,6 +393,7 @@ class Subspace:
         self.pivots = pivots
         self.canonical = canonical
         self._canon = self if canonical else None
+        self._row_at = None
 
     @classmethod
     def _from_rref(cls, field, ambient_dim: int, rows: list[dict], pivots: tuple) -> "Subspace":
@@ -435,13 +436,18 @@ class Subspace:
     # ----------------------------------------------------------- membership
 
     def contains(self, vec: dict) -> bool:
-        """Whether vec minus its projection onto the basis is zero."""
+        """Whether vec minus its projection onto the basis is zero; by the
+        identity pattern, the projection has coefficient vec[c] on the row
+        with pivot c, so only vec's own pivot entries are read."""
+        row_at = self._row_at
+        if row_at is None:
+            row_at = self._row_at = dict(zip(self.pivots, self.basis.rows))
         f = self.field
         out = dict(vec)
-        for pcol, row in zip(self.pivots, self.basis.rows):
-            c = out.get(pcol)
-            if c:
-                f.axpy_row(out, row, f.neg(c))
+        for c, a in vec.items():
+            row = row_at.get(c)
+            if row is not None:
+                f.axpy_row(out, row, f.neg(a))
         return not out
 
     # ---------------------------------------------------------- operations

@@ -229,7 +229,8 @@ def circle(max_level: int) -> PointedSimplicialSet:
 #  "faces": {"1": [[...d_0 images...], ..., [...d_1 images...]], ...},
 #  "degeneracies": {"0": [[...]], ...}}   (optional)
 #
-# The basepoint at every level is simplex 0.
+# or {"builtin": "circle", "max_level": N}.  The basepoint at every level is
+# simplex 0.
 
 
 def _image_lists(level, what: str) -> tuple:
@@ -239,7 +240,12 @@ def _image_lists(level, what: str) -> tuple:
 
 
 def simplicial_from_json(obj: dict) -> PointedSimplicialSet:
-    spec_of(obj, "simplicial spec", dict)
+    if "builtin" in spec_of(obj, "simplicial spec", dict):
+        if obj["builtin"] != "circle":
+            raise ValidationError(f"unknown builtin simplicial set {obj['builtin']!r}")
+        if "max_level" not in obj:
+            raise ValidationError("circle spec needs 'max_level' or --max-degree")
+        return circle(spec_ints(obj["max_level"], "max_level"))
     if "max_level" not in obj or "sizes" not in obj:
         raise ValidationError("simplicial spec needs 'max_level' and 'sizes'")
     max_level = spec_ints(obj["max_level"], "max_level")

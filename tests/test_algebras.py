@@ -146,6 +146,34 @@ def test_morphism_validation(q, ground, dual):
     assert bad.validate() != []
 
 
+@pytest.mark.parametrize("spec", ["identity", {"builtin": "identity"}])
+def test_identity_morphism_builtin(q, dual, upper, spec):
+    ident = morphism_from_json(spec, upper, upper)
+    assert ident.label == "identity" and ident.unital
+    assert ident.matrix == Matrix.identity(q, upper.dim)
+    with pytest.raises(ValidationError, match="needs equal dimensions"):
+        morphism_from_json(spec, dual, upper)
+    # the same vector spaces, but e11 and e22 swap, which is not multiplicative
+    swapped = algebra_from_json({"dim": 3, "unit": ["1", "0", "1"], "mult": [
+        [0, 0, 0, "1"], [1, 0, 1, "1"], [2, 1, 1, "1"], [2, 2, 2, "1"]]})
+    with pytest.raises(ValidationError, match="not multiplicative"):
+        morphism_from_json(spec, upper, swapped)
+
+
+def test_morphism_builtins_reject_unknown_names(ground, dual):
+    for spec in ("twist", {"builtin": "twist"}):
+        with pytest.raises(ValidationError, match="unknown builtin morphism"):
+            morphism_from_json(spec, ground, dual)
+
+
+def test_morphism_needs_one_field(q, dual):
+    f5_dual = truncated_polynomial_algebra(PrimeField(5), 2)
+    with pytest.raises(ValidationError) as exc:
+        AlgebraMorphism(dual, f5_dual, Matrix.identity(q, 2))
+    assert exc.value.details == {"source_field": {"kind": "Q"},
+                                 "target_field": {"kind": "Fp", "p": 5}}
+
+
 def test_morphism_json_round_trip(q, ground, dual):
     unit = morphism_from_json({"builtin": "unit"}, ground, dual)
     again = morphism_from_json(morphism_to_json(unit), ground, dual)

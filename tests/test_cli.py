@@ -211,6 +211,39 @@ def test_missing_spec_file_exits_1(specs):
     assert "nope.json" in body["message"]
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}",
+                                     b"[" * 100_000 + b"]" * 100_000],
+                         ids=["directory", "not-utf8", "nested-too-deep"])
+def test_unreadable_input_exits_1(tmp_path, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    r = run_cli(["homology", str(path)])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert str(path) in body["message"]
+
+
+def test_relative_spec_path_in_a_subdirectory(tmp_path):
+    """A relative spec path is read once from the working directory, and
+    the files the spec names are read next to it."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "algebra.json").write_text(json.dumps(
+        {"builtin": "truncated_polynomial", "order": 2}))
+    (sub / "spec.json").write_text(json.dumps(
+        {"construction": "hochschild", "algebra": "algebra.json",
+         "max_degree": 2}))
+    r = run_cli(["homology", os.path.join("sub", "spec.json")],
+                cwd=str(tmp_path))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout == run_cli(["homology", str(sub / "spec.json")]).stdout
+
+
 @pytest.mark.parametrize("literal", ["1/0", "abc"])
 def test_bad_prime_field_literal_exits_1(tmp_path, literal):
     spec = tmp_path / "bad_literal.json"
@@ -447,6 +480,93 @@ def test_verify_witness_theta_above_max_degree_exits_1():
     body = json.loads(r.stdout)
     assert body["error"] == "ValidationError"
     assert body["details"] == {"theta_degree": 3, "max_degree": 1}
+
+
+def test_verify_witness_reads_the_algebra_files_field(tmp_path):
+    """The --algebra file's own field applies, and --elements is read in
+    it: 6 is 1 in F_5, so e = m = 6 e_11 is a witness pair."""
+    algebra = tmp_path / "k5.json"
+    algebra.write_text(json.dumps(
+        {"builtin": "ground_field", "field": {"kind": "Fp", "p": 5}}))
+    elements = tmp_path / "elements.json"
+    elements.write_text(json.dumps(
+        {"e": ["6", "0", "0", "0"], "m": ["6", "0", "0", "0"]}))
+    r = run_cli(["verify", "witness", "--kind", "w", "--max-degree", "1",
+                 "--algebra", str(algebra), "--elements", str(elements)])
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["passed"] is True
+
+
+def test_verify_morphism_across_fields_exits_1(tmp_path):
+    dual = {"builtin": "truncated_polynomial", "order": 2}
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(dual))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({**dual, "field": {"kind": "Fp", "p": 5}}))
+    mor = tmp_path / "map.json"
+    mor.write_text(json.dumps({"matrix": [[0, 0, "1"], [1, 1, "1/2"]]}))
+    r = run_cli(["verify", "morphism", "--input", str(mor),
+                 "--source", str(source), "--target", str(target)])
+    assert r.returncode == 1
+    rep = json.loads(r.stdout)
+    assert rep["passed"] is False
+    assert rep["violations"] == ["morphism source is over Q but target over F5"]
+
+
+def test_circle_max_level_is_truncated_at_max_degree(tmp_path):
+    """A circle spec that states its own max_level is truncated at
+    max_degree, as an explicit simplicial set is."""
+    tables = []
+    for circle in ({"builtin": "circle", "max_level": 4},
+                   {"builtin": "circle"}):
+        path = tmp_path / "circle_spec.json"
+        path.write_text(json.dumps({
+            "construction": "higher_hochschild",
+            "algebra": {"builtin": "truncated_polynomial", "order": 2},
+            "simplicial": circle, "max_degree": 2,
+        }))
+        r = run_cli(["homology", str(path)])
+        assert r.returncode == 0, r.stdout + r.stderr
+        tables.append([e["betti"] for e in json.loads(r.stdout)["entries"]])
+    assert tables == [[2, 1], [2, 1]]
+
+
+# ---------------------------------------------------------------------------
+# morphism builtins
+# ---------------------------------------------------------------------------
+
+
+def _secondary_spec(tmp_path, second, epsilon):
+    path = tmp_path / "secondary.json"
+    path.write_text(json.dumps({
+        "construction": "secondary",
+        "algebra": {"builtin": "upper_triangular"},
+        "second_algebra": second, "epsilon": epsilon, "max_degree": 2,
+    }))
+    return str(path)
+
+
+def test_identity_epsilon_as_string_or_object(tmp_path):
+    second = {"builtin": "upper_triangular"}
+    reports = []
+    for epsilon in ("identity", {"builtin": "identity"}):
+        r = run_cli(["homology", _secondary_spec(tmp_path, second, epsilon)])
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append(r.stdout)
+    assert reports[0] == reports[1]
+    assert [e["betti"] for e in json.loads(reports[0])["entries"]] == [2, 0]
+
+
+@pytest.mark.parametrize("epsilon", ["identity", {"builtin": "identity"}],
+                         ids=["string", "object"])
+def test_identity_epsilon_needs_equal_dimensions(tmp_path, epsilon):
+    spec = _secondary_spec(tmp_path, {"builtin": "ground_field"}, epsilon)
+    r = run_cli(["homology", spec])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    body = json.loads(r.stdout)
+    assert body["error"] == "ValidationError"
+    assert body["message"] == "identity morphism needs equal dimensions"
 
 
 # ---------------------------------------------------------------------------

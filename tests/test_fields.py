@@ -11,6 +11,7 @@ from lambda_homology.fields import (
     PrimeField,
     Rationals,
     field_from_json,
+    field_of,
     is_prime,
     parse_field_flag,
 )
@@ -106,6 +107,15 @@ def test_parse_field_flag():
 def test_field_json_round_trip():
     for f in [Rationals(), PrimeField(5)]:
         assert field_from_json(f.to_json()) == f
+
+
+def test_field_rule_override_then_spec_then_q():
+    f5 = {"field": {"kind": "Fp", "p": 5}}
+    assert field_of(f5, PrimeField(7)) == PrimeField(7)
+    assert field_of(f5) == PrimeField(5)
+    assert field_of({"dim": 1}) == Rationals()
+    with pytest.raises(ValidationError):
+        field_of({"field": None})
 
 
 small_q = st.fractions(min_value=-50, max_value=50, max_denominator=20)

@@ -17,7 +17,6 @@ from lambda_homology.linalg import (
     kernel_of_rows_raw,
     rank,
     rank_and_kernel,
-    rref,
 )
 
 from oracles import (
@@ -163,20 +162,16 @@ def test_kernel_matches_oracle(m):
     assert ker == oracle_span
 
 
-@given(q_matrix(max_dim=6), st.sampled_from([0.0, 1.0]))
-def test_int_and_fraction_entries_agree(m, threshold):
-    """An integer matrix gives the same results held as int or as Fraction.
-
-    A threshold of 0.0 sends ``rref`` to the dense engine, 1.0 to the
-    sparse one.
-    """
+@given(q_matrix(max_dim=6), st.sampled_from([_rref_sparse, _rref_dense_python]))
+def test_int_and_fraction_entries_agree(m, engine):
+    """An integer matrix gives the same results held as int or as Fraction,
+    on the sparse and on the dense elimination engine."""
     assert all(type(v) is int for row in m.rows for v in row.values())
     as_frac = [{c: Fraction(v) for c, v in row.items()} for row in m.rows]
-    # rref eliminates the rows it is handed in place, so both sides hand it
-    # copies and the kernels below see the original rows
-    assert (rref(Q, [dict(r) for r in m.rows], m.ncols, dense_threshold=threshold)
-            == rref(Q, [dict(r) for r in as_frac], m.ncols,
-                    dense_threshold=threshold))
+    # the engines eliminate the rows they are handed in place, so both sides
+    # hand them copies and the kernels below see the original rows
+    assert (engine(Q, [dict(r) for r in m.rows if r], m.ncols, True)
+            == engine(Q, [dict(r) for r in as_frac if r], m.ncols, True))
     k_int = kernel_of_rows(Q, m.rows, m.ncols)
     k_frac = kernel_of_rows(Q, as_frac, m.ncols)
     assert k_int == k_frac

@@ -141,3 +141,12 @@ def test_face_out_of_range_raises():
 def test_from_json_rejects_malformed():
     with pytest.raises(ValidationError):
         simplicial_from_json({"max_level": 1, "sizes": [1]})
+
+
+def test_from_json_reads_the_circle_builtin():
+    x = simplicial_from_json({"builtin": "circle", "max_level": 3})
+    assert simplicial_to_json(x) == simplicial_to_json(circle(3))
+    with pytest.raises(ValidationError, match="needs 'max_level'"):
+        simplicial_from_json({"builtin": "circle"})
+    with pytest.raises(ValidationError, match="unknown builtin"):
+        simplicial_from_json({"builtin": "sphere", "max_level": 3})
