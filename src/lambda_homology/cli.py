@@ -10,7 +10,6 @@ verification, 2 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -67,9 +66,12 @@ def _resolve(obj, base: Path):
 
 
 def _load_simplicial(obj, base: Path, max_degree):
+    """A builtin is built at ``max_degree`` at most, so its label names the
+    level it has; an explicit set is truncated and keeps its label."""
     obj, _ = _resolve(obj, base)
     if isinstance(obj, dict) and "builtin" in obj and max_degree is not None:
-        obj = {"max_level": max_degree, **obj}
+        level = spec_ints(obj.get("max_level", max_degree), "max_level")
+        obj = {**obj, "max_level": min(level, max_degree)}
     x = simplicial_from_json(obj)
     if max_degree is not None and max_degree < x.max_level:
         x = x.truncate(max_degree)
@@ -140,7 +142,7 @@ def _caps_from_args(args) -> ResourceCaps:
                 raise ValidationError(f"--{flag.replace('_', '-')} must be at least 1",
                                       value=value)
             updates[cap] = value
-    return dataclasses.replace(DEFAULT_CAPS, **updates) if updates else DEFAULT_CAPS
+    return ResourceCaps(**updates) if updates else DEFAULT_CAPS
 
 
 def _field_from_args(args):
@@ -324,9 +326,9 @@ def _verify_morphism(args) -> tuple[dict, bool]:
     field = _field_from_args(args)
     src = algebra_from_json(_read_json(Path(args.source)), field=field)
     tgt = algebra_from_json(_read_json(Path(args.target)), field=field)
+    obj = _read_json(Path(args.input))
     return _axioms_report(
-        "algebra_morphism",
-        lambda: morphism_from_json(_read_json(Path(args.input)), src, tgt),
+        "algebra_morphism", lambda: morphism_from_json(obj, src, tgt),
         lambda mor: {"unital": mor.unital, "multiplicative": True})
 
 

@@ -7,7 +7,6 @@ early instead of grinding through an enormous exact elimination.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import ResourceCapError, ValidationError
 
@@ -15,13 +14,15 @@ from .errors import ResourceCapError, ValidationError
 THREADS_ENV = "LAMBDA_HOMOLOGY_THREADS"
 
 
-@dataclass(frozen=True)
 class ResourceCaps:
-    #: largest allowed ambient dimension of a single graded piece
-    max_ambient_dim: int = 200_000
-    #: largest allowed number of face variants per (degree, position),
-    #: checked before a builder enumerates them
-    max_index_size: int = 720
+    __slots__ = ("max_ambient_dim", "max_index_size")
+
+    def __init__(self, max_ambient_dim: int = 200_000, max_index_size: int = 720):
+        #: largest allowed ambient dimension of a single graded piece
+        self.max_ambient_dim = max_ambient_dim
+        #: largest allowed number of face variants per (degree, position),
+        #: checked before a builder enumerates them
+        self.max_index_size = max_index_size
 
     def check_index_size(self, degree: int, position: int, size: int) -> None:
         if size > self.max_index_size:

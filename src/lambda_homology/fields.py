@@ -3,7 +3,8 @@
 Scalars are plain Python values.  Over the rationals a scalar is an ``int``
 when its value is an integer and a ``Fraction`` otherwise; every shipped
 construction has integer structure constants, so elimination mostly runs
-on ints and pays for a gcd only where a pivot forces one.  Arithmetic may
+on ints and pays for a gcd only where a pivot forces one.  ``fractions``
+(which loads ``decimal``) is imported on first use.  Arithmetic may
 still yield an integral ``Fraction``, which compares, hashes and prints
 like the equal ``int``, so no code needs to tell the two apart.  Over a
 prime field scalars are ints kept canonical in ``[0, p)``.  The field
@@ -13,13 +14,12 @@ kernels the elimination code runs hot.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ValidationError, spec_ints
 
 
-def _read_literal(s) -> Fraction:
+def _read_literal(s):
     """The rational value of a scalar literal such as ``"-3"`` or ``"2/3"``."""
+    from fractions import Fraction
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -93,6 +93,7 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         if a == 1 or a == -1:
             return int(a)
+        from fractions import Fraction
         # 1 / a would be a float for an int a
         return 1 / Fraction(a)
 

@@ -12,8 +12,6 @@ partition exposes each fiber as an ordered tuple with a stable base order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import ValidationError, spec_ints, spec_of
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FiberPartition:
     """The fibers of one face map d_i: X_n -> X_{n-1}.
 
@@ -36,9 +33,12 @@ class FiberPartition:
     wrap-around face multiplies onto the module from the right.
     """
 
-    level: int
-    index: int
-    classes: dict[int, tuple[int, ...]]
+    __slots__ = ("level", "index", "classes")
+
+    def __init__(self, level: int, index: int, classes: dict[int, tuple[int, ...]]):
+        self.level = level
+        self.index = index
+        self.classes = classes
 
     def fiber_of(self, target: int) -> tuple[int, ...]:
         return self.classes.get(target, ())
@@ -47,7 +47,6 @@ class FiberPartition:
         return [(t, c) for t, c in sorted(self.classes.items()) if len(c) > 1]
 
 
-@dataclass(frozen=True)
 class PointedSimplicialSet:
     """A finite pointed simplicial set truncated at ``max_level``.
 
@@ -57,11 +56,15 @@ class PointedSimplicialSet:
     be empty.
     """
 
-    max_level: int
-    sizes: tuple[int, ...]
-    faces: tuple[tuple[tuple[int, ...], ...], ...]
-    degeneracies: tuple[tuple[tuple[int, ...], ...], ...] = dc_field(default=())
-    label: str = ""
+    __slots__ = ("max_level", "sizes", "faces", "degeneracies", "label")
+
+    def __init__(self, max_level: int, sizes: tuple, faces: tuple,
+                 degeneracies: tuple = (), label: str = ""):
+        self.max_level = max_level
+        self.sizes = sizes
+        self.faces = faces
+        self.degeneracies = degeneracies
+        self.label = label
 
     def size(self, n: int) -> int:
         if not (0 <= n <= self.max_level):

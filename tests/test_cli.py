@@ -531,6 +531,47 @@ def test_circle_max_level_is_truncated_at_max_degree(tmp_path):
     assert tables == [[2, 1], [2, 1]]
 
 
+def test_truncated_circle_is_labelled_by_its_level(tmp_path):
+    """A builtin circle cut down to --max-degree names the level it has; an
+    explicit simplicial set keeps its own label."""
+    circle4 = run_cli(["circle", "--max-level", "4", "--emit"])
+    explicit = {**json.loads(circle4.stdout)["simplicial"], "label": "mine"}
+    results = []
+    for simplicial in ({"builtin": "circle", "max_level": 4}, explicit):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "construction": "higher_hochschild",
+            "algebra": {"builtin": "truncated_polynomial", "order": 2},
+            "simplicial": simplicial,
+        }))
+        r = run_cli(["homology", str(path), "--max-degree", "2"])
+        assert r.returncode == 0, r.stdout + r.stderr
+        rep = json.loads(r.stdout)
+        results.append((rep["system"], [e["betti"] for e in rep["entries"]]))
+    assert results == [
+        ("simplicial(k[x]/(x^2),k[x]/(x^2),circle(2))", [2, 1]),
+        ("simplicial(k[x]/(x^2),k[x]/(x^2),mine)", [2, 1]),
+    ]
+
+
+def test_verify_morphism_unreadable_files_answer_alike(specs, tmp_path):
+    """A missing --input and a missing --source both give the
+    ValidationError body, not one of them a failed check report."""
+    missing = str(tmp_path / "missing.json")
+    bodies = []
+    for input_, source in ((missing, specs["ground"]),
+                           (specs["unit_morphism"], missing)):
+        r = run_cli(["verify", "morphism", "--input", input_,
+                     "--source", source, "--target", specs["good_algebra"]])
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        bodies.append(json.loads(r.stdout))
+    for body in bodies:
+        assert sorted(body) == ["details", "error", "message"]
+        assert body["error"] == "ValidationError"
+        assert body["message"].startswith(f"cannot read input file {missing}")
+
+
 # ---------------------------------------------------------------------------
 # morphism builtins
 # ---------------------------------------------------------------------------

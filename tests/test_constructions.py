@@ -1,7 +1,5 @@
 """Concrete chain systems: classical, simplicial, paired, and the reports."""
 
-import dataclasses
-
 import pytest
 
 from lambda_homology.algebras import (
@@ -12,7 +10,7 @@ from lambda_homology.algebras import (
     matrix_bimodule,
     morphism_from_json,
 )
-from lambda_homology.config import DEFAULT_CAPS
+from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import (
     compare_systems,
     corner_chain_map,
@@ -346,7 +344,7 @@ def test_compare_reports_face_difference():
 def test_fiber_cap(dual, two_level):
     # the orderings of a fiber are counted against the index cap before
     # the builder enumerates them
-    caps = dataclasses.replace(DEFAULT_CAPS, max_index_size=1)
+    caps = ResourceCaps(max_index_size=1)
     with pytest.raises(ResourceCapError) as err:
         higher_hochschild_system(dual, Bimodule.regular(dual), two_level,
                                  caps=caps)
@@ -355,7 +353,7 @@ def test_fiber_cap(dual, two_level):
 
 
 def test_index_cap(dual, circle4):
-    caps = dataclasses.replace(DEFAULT_CAPS, max_index_size=1)
+    caps = ResourceCaps(max_index_size=1)
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle4)
     with pytest.raises(ResourceCapError):
         compute_theta(sys_, caps=caps)

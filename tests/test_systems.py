@@ -1,11 +1,9 @@
 """The maximal-subcomplex computation against hand cases and the sweep oracle."""
 
-import dataclasses
-
 import pytest
 
 from lambda_homology.algebras import Bimodule
-from lambda_homology.config import DEFAULT_CAPS
+from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import hochschild_system, higher_hochschild_system
 from lambda_homology.errors import InternalCheckError, ResourceCapError, ValidationError
 from lambda_homology.fields import Rationals
@@ -354,7 +352,7 @@ def test_induced_map_checks_name_degree_and_basis_row(broken, message):
 
 
 def test_caps_are_enforced(dual):
-    caps = dataclasses.replace(DEFAULT_CAPS, max_ambient_dim=10)
+    caps = ResourceCaps(max_ambient_dim=10)
     sys_ = hochschild_system(dual, Bimodule.regular(dual), 3)
     with pytest.raises(ResourceCapError) as err:
         compute_theta(sys_, caps=caps)
