@@ -66,12 +66,16 @@ def _resolve(obj, base: Path):
 
 
 def _load_simplicial(obj, base: Path, max_degree):
-    """A builtin is built at ``max_degree`` at most, so its label names the
-    level it has; an explicit set is truncated and keeps its label."""
+    """The max degree fills a builtin's missing ``max_level`` and lowers a
+    higher one, so the builtin is built at the level the job uses and its
+    label names that level (``simplicial_from_json`` checks the value); an
+    explicit set is truncated and keeps its label."""
     obj, _ = _resolve(obj, base)
     if isinstance(obj, dict) and "builtin" in obj and max_degree is not None:
-        level = spec_ints(obj.get("max_level", max_degree), "max_level")
-        obj = {**obj, "max_level": min(level, max_degree)}
+        level = obj.get("max_level", max_degree)
+        if type(level) is int and level > max_degree:
+            level = max_degree
+        obj = {**obj, "max_level": level}
     x = simplicial_from_json(obj)
     if max_degree is not None and max_degree < x.max_level:
         x = x.truncate(max_degree)

@@ -8,8 +8,10 @@ have syntactically identical bases and equality is a plain comparison.
 Elimination uses the leftmost nonzero column as the pivot column (the
 result, being a reduced echelon form, is unique no matter how pivot rows
 are chosen; rows are picked sparsest-first for speed).  Inputs that are
-dense enough are routed to a dense engine; over a prime field with numpy
-available, one large enough to repay importing numpy is vectorized.
+dense enough are routed to a dense engine.  The numpy engine
+``_rref_dense_fp_numpy`` is kept for comparison (the engine tests and the
+benchmark trace use it); ``rref`` never calls it, because importing numpy
+costs more than any dense elimination a job has been seen to run.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from .errors import ValidationError
 
 #: above this fill ratio the elimination switches to a dense representation
 DENSE_THRESHOLD = 0.25
-
-#: least dense work, rows * cols * min(rows, cols), sent to numpy: its import
-#: costs 0.22-0.24 s CPU, and a filled 100 x 100 matrix over F_2147483629 took
-#: 0.14-0.32 s in the Python engines and 0.01 s in numpy (2-core x86_64)
-NUMPY_FLOOR = 1_000_000
 
 
 #: the one zero column that ``Matrix.from_columns`` stores; never mutated
@@ -344,12 +341,6 @@ def rref(field, rows: Sequence[dict], ncols: int, full: bool = True):
     nnz = sum(len(r) for r in work)
     density = nnz / (len(work) * ncols)
     if density > DENSE_THRESHOLD:
-        work_size = len(work) * ncols * min(len(work), ncols)
-        if field.kind == "Fp" and field.p < 2**31 and work_size >= NUMPY_FLOOR:
-            try:
-                return _rref_dense_fp_numpy(field, work, ncols, full)
-            except ImportError:
-                pass
         return _rref_dense_python(field, work, ncols, full)
     return _rref_sparse(field, work, ncols, full)
 

@@ -554,6 +554,25 @@ def test_truncated_circle_is_labelled_by_its_level(tmp_path):
     ]
 
 
+def test_builtin_circle_level_is_checked_by_its_reader(tmp_path):
+    """Lowering a builtin circle's max_level to --max-degree leaves a bad
+    value for the simplicial reader to refuse."""
+    path = tmp_path / "spec.json"
+    for level, message in (("4", "max_level must be an integer"),
+                           (4.0, "max_level must be an integer"),
+                           (True, "max_level must be an integer"),
+                           (0, "circle needs max_level >= 1")):
+        path.write_text(json.dumps({
+            "construction": "higher_hochschild",
+            "algebra": {"builtin": "truncated_polynomial", "order": 2},
+            "simplicial": {"builtin": "circle", "max_level": level},
+        }))
+        r = run_cli(["homology", str(path), "--max-degree", "2"])
+        assert r.returncode == 1, (level, r.stdout + r.stderr)
+        body = json.loads(r.stdout)
+        assert (body["error"], body["message"]) == ("ValidationError", message)
+
+
 def test_verify_morphism_unreadable_files_answer_alike(specs, tmp_path):
     """A missing --input and a missing --source both give the
     ValidationError body, not one of them a failed check report."""

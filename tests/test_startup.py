@@ -64,3 +64,24 @@ def test_small_dense_prime_field_job_does_not_import_numpy(tmp_path):
     assert "numpy" not in loaded_heavy(job)
     report = json.loads((tmp_path / "report.json").read_text())
     assert [e["betti"] for e in report["entries"]] == [3, 0, 2, 0]
+
+
+def test_dense_prime_field_rref_does_not_import_numpy():
+    """rref takes a filled 100 x 100 matrix over F_2147483629 to the Python
+    dense engine without loading numpy; the numpy engine, called by name
+    afterwards, gives the same reduced form."""
+    job = (
+        "import random\n"
+        "from lambda_homology.fields import PrimeField\n"
+        "from lambda_homology.linalg import (\n"
+        "    _rref_dense_fp_numpy, _rref_dense_python, rref)\n"
+        "F = PrimeField(2147483629)\n"
+        "rng = random.Random(0)\n"
+        "rows = [{c: rng.randrange(1, F.p) for c in range(100)}\n"
+        "        for _ in range(100)]\n"
+        "got = rref(F, [dict(r) for r in rows], 100)\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert got == _rref_dense_python(F, [dict(r) for r in rows], 100, True)\n"
+        "assert got == _rref_dense_fp_numpy(F, [dict(r) for r in rows], 100, True)\n"
+    )
+    assert "numpy" in loaded_heavy(job)
