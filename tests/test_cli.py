@@ -1,12 +1,15 @@
 """End-to-end command line runs in subprocesses: exit codes, determinism,
 report formats, and error bodies."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from test_face_golden import TWISTED
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -202,6 +205,66 @@ def test_cap_below_one_exits_1(specs, flag, value):
     assert body["error"] == "ValidationError"
     assert flag in body["message"]
     assert body["details"]["value"] == int(value)
+
+
+# The two-sphere reports, bases included, byte for byte: theta and its
+# homology do not depend on the order of the face candidates.
+SPHERE2_ALGEBRAS = {"upper": ({"builtin": "upper_triangular"}, 4),
+                    "twisted": (TWISTED, 3)}
+SPHERE2_REPORTS = {
+    "upper/q/homology":
+        "af402a5dce0bf7c5172daa62515cc27efbfc042e10a356fc142a12e901c20d2b",
+    "upper/q/theta":
+        "743c040386d69c1ca1c50ec4276443e0c61167e03f65b2c751fbe0bc075128fa",
+    "upper/fp:7/homology":
+        "132087681fb97738975753b4f5a5244bab427343c8942405f8188fb292ff7042",
+    "upper/fp:7/theta":
+        "37738a92702af89d728da14f1b8eda85fb66c1cd9a328ec481c27edc1c87a42d",
+    "twisted/q/homology":
+        "dc034bb458dfb74b23a66e6bcede90c823d08ab5f005025e1c8c822d3d9ff6fe",
+    "twisted/q/theta":
+        "0d1a1a59f48e5d39dc8b9a68771503d0d82b4786f26f59560c2c7bdfd827f9a6",
+    "twisted/fp:7/homology":
+        "be2abbf8ee70b101a9a473159f48fee3736fdba7e94b6af82ca058f8733626b6",
+    "twisted/fp:7/theta":
+        "7cb3c799eebb2eb908a3c81e3ce1df0e08142ab603addcd8b0deafbf58beade5",
+}
+
+
+def _sphere2_spec(tmp_path, algebra, degree):
+    spec = tmp_path / "sphere2.json"
+    spec.write_text(json.dumps({"construction": "sphere2", "algebra": algebra,
+                                "max_degree": degree}))
+    return str(spec)
+
+
+@pytest.mark.parametrize("case", sorted(SPHERE2_REPORTS))
+def test_sphere2_report_digest(tmp_path, case):
+    kind, field, command = case.split("/")
+    spec = _sphere2_spec(tmp_path, *SPHERE2_ALGEBRAS[kind])
+    r = run_cli([command, spec, "--field", field, "--emit-bases"])
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == SPHERE2_REPORTS[case]
+
+
+UPPER_SPHERE2 = "triangular(upper_triangular_2x2,upper_triangular_2x2)"
+
+
+@pytest.mark.parametrize("command, degree, code, body", [
+    ("homology", 0, 0, {"entries": [], "field": {"kind": "Q"}, "max_degree": 0,
+                        "system": UPPER_SPHERE2, "valid_up_to": -1}),
+    ("theta", 0, 0, {"ambient_dims": [3], "field": {"kind": "Q"},
+                     "max_degree": 0, "system": UPPER_SPHERE2,
+                     "theta_dims": [3]}),
+    ("homology", -1, 1, {"details": {"max_degree": -1},
+                         "error": "ValidationError",
+                         "message": "max_degree must be nonnegative"}),
+], ids=["homology-0", "theta-0", "homology-negative"])
+def test_sphere2_low_degree_bodies(tmp_path, command, degree, code, body):
+    spec = _sphere2_spec(tmp_path, {"builtin": "upper_triangular"}, degree)
+    r = run_cli([command, spec])
+    assert r.returncode == code
+    assert r.stdout == json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 def test_missing_spec_file_exits_1(specs):

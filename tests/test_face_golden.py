@@ -89,6 +89,33 @@ def face_digest(system) -> str:
     return h.hexdigest()
 
 
+def sorted_face_digest(system) -> str:
+    """Label-free: per (degree, position), the sorted ``to_entries()`` of
+    every candidate face matrix, so neither the labels nor the candidate
+    order enter the digest."""
+    h = hashlib.sha256()
+    for n in range(1, system.max_degree + 1):
+        for i in range(n + 1):
+            mats = sorted(system.face_matrix(n, i, lab).to_entries()
+                          for lab in system.labels_at(n, i))
+            h.update(json.dumps([n, i, mats]).encode())
+    return h.hexdigest()
+
+
+# the candidate matrices of the two-sphere system, whatever their labels
+# and order
+SORTED_GOLDEN = {
+    "F7/twisted/sphere2":
+        "405cc7d57cf433ed454c248e94fa3d2909c71dcef1199640027becf3106eccea",
+    "F7/upper/sphere2":
+        "4126fb9f67ec178fb46c86c52de0f71557497a94e2f76105b141089c321845e6",
+    "Q/twisted/sphere2":
+        "d56f779966c15408ba2ad178fcd70fb686488f85e876fd2fb64330c3d7e4ff6f",
+    "Q/upper/sphere2":
+        "4126fb9f67ec178fb46c86c52de0f71557497a94e2f76105b141089c321845e6",
+}
+
+
 GOLDEN = {
     "F7/twisted/classical":
         "c5261a7dc214bf29abd01b8a943685b161655d8339652ec173c7444df7c2b4b3",
@@ -137,6 +164,13 @@ GOLDEN = {
 def test_face_digest(case):
     field_name, kind, construction = case.split("/")
     assert face_digest(build(field_name, kind, construction)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(SORTED_GOLDEN))
+def test_sorted_face_digest(case):
+    field_name, kind, construction = case.split("/")
+    system = build(field_name, kind, construction)
+    assert sorted_face_digest(system) == SORTED_GOLDEN[case]
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
