@@ -256,12 +256,13 @@ def cmd_theta(args) -> int:
 
 def cmd_circle(args) -> int:
     x = circle(args.max_level)
+    bad = x.validate()
     report = {
         "label": x.label,
         "max_level": x.max_level,
         "sizes": list(x.sizes),
-        "violations": x.validate(),
-        "valid": not x.validate(),
+        "violations": bad,
+        "valid": not bad,
     }
     if args.emit:
         report["simplicial"] = simplicial_to_json(x)

@@ -5,9 +5,8 @@ order and faces given by structure-constant products:
 
 * the classical cyclic-bar system (one candidate per face, the oracle);
 * the simplicial-set system: one algebra factor per non-basepoint simplex,
-  candidates enumerate the orderings of each face-map fiber;
-* the triangular system: algebra factors at positions (p, q), p < q, with
-  permutation candidates at the ends and swap candidates in the middle;
+  candidates enumerate the orderings of each face-map fiber; the
+  two-sphere system is this system on Delta^2/dDelta^2;
 * the two-algebra system: factors of one algebra on a diagonal and of a
   second algebra above it, connected by an algebra morphism;
 * idempotent witness vectors fixed by every face candidate, and the
@@ -32,7 +31,7 @@ from .algebras import (
 from .config import DEFAULT_CAPS
 from .errors import ValidationError
 from .linalg import Matrix, Subspace
-from .simplicial import PointedSimplicialSet, circle
+from .simplicial import PointedSimplicialSet, circle, sphere2
 from .systems import (
     LambdaMorphism,
     LambdaSystem,
@@ -344,8 +343,21 @@ def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSyste
     return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
 
+def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
+                   caps=DEFAULT_CAPS) -> LambdaSystem:
+    """The simplicial system on the two-sphere Delta^2/dDelta^2
+    (``simplicial.sphere2``): algebra factors at the positions (p, q),
+    1 <= p < q <= n, row-major after the module; the ends have n!
+    candidates and the middle faces 2^(n-1)."""
+    if max_degree < 0:
+        raise ValidationError("max_degree must be nonnegative", max_degree=max_degree)
+    system = higher_hochschild_system(a, m, sphere2(max_degree), caps)
+    system.label = f"triangular({a.label or 'A'},{m.label or 'M'})"
+    return system
+
+
 # ---------------------------------------------------------------------------
-# the triangular system
+# the two-algebra system
 # ---------------------------------------------------------------------------
 
 
@@ -354,85 +366,15 @@ def _ordered(x, y, swap) -> tuple:
 
 
 def _pair_merge(factor, n: int, i: int, pp: int, qq: int, swaps: dict) -> tuple:
-    """Factors of target position (pp, qq) when face i collapses rows and
-    columns i, i+1 of a triangular array: the merged row and column pairs
-    in the order ``swaps`` picks, every other position shifted past i."""
+    """Factors of target pair (pp, qq) when face i collapses rows and
+    columns i, i+1 of the pairs above the diagonal: the merged row and
+    column pairs in the order ``swaps`` picks, every other pair shifted
+    past i."""
     if qq == i and pp < i:
         return _ordered(factor(pp, i), factor(pp, i + 1), swaps[pp])
     if pp == i and qq >= i + 1:
         return _ordered(factor(i, qq + 1), factor(i + 1, qq + 1), swaps[qq])
     return (factor(pp + 1 if pp > i else pp, qq + 1 if qq > i else qq),)
-
-
-def _tri_slot(n: int, p: int, q: int) -> int:
-    """Slot of position (p, q), 1 <= p < q <= n, row-major, after the module."""
-    return 1 + (p - 1) * (2 * n - p) // 2 + (q - p - 1)
-
-
-def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
-                   caps=DEFAULT_CAPS) -> LambdaSystem:
-    """Faces on M (x) A^(n(n-1)/2) with factors at positions (p, q), p < q.
-
-    d_0 consumes row 1 into the module, multiplying the module and the row
-    entries in a chosen order (candidates: all permutations); d_n does the
-    same with the last column; middle faces merge rows and columns i, i+1
-    pairwise and the (i, i+1) entry onto the module, each merge in one of
-    two orders.
-    """
-    _check_pair(a, m)
-    field = a.field
-    layouts = [
-        TensorLayout((m.dim,) + (a.dim,) * (n * (n - 1) // 2))
-        for n in range(max_degree + 1)
-    ]
-    dims = tuple(layouts[n].total for n in range(max_degree + 1))
-    labels = {}
-    for n in range(1, max_degree + 1):
-        ends = math.factorial(n)
-        for i, size in enumerate([ends] + [2 ** (n - 1)] * (n - 1) + [ends]):
-            caps.check_index_size(n, i, size)
-        head = tuple(sorted(itertools.permutations((0,) + tuple(range(2, n + 1)))))
-        tail = tuple(sorted(itertools.permutations(tuple(range(n)))))
-        labels[(n, 0)] = head
-        labels[(n, n)] = tail
-        for i in range(1, n):
-            labels[(n, i)] = tuple(itertools.product((0, 1), repeat=n - 1))
-
-    def slots_of(n, i, lab):
-        def av(p, q):
-            return (_tri_slot(n, p, q), "a")
-
-        if i == 0 or i == n:
-            # by-position factors: 0 is the module, others are row-1 or
-            # last-column entries; the candidate lists the multiplication order
-            values = {0: (0, "m")}
-            if i == 0:
-                for q in range(2, n + 1):
-                    values[q] = av(1, q)
-            else:
-                for p in range(1, n):
-                    values[p] = av(p, n)
-            out = [tuple(values[s] for s in lab)]
-            for pp in range(1, n):
-                for qq in range(pp + 1, n):
-                    out.append((av(pp + 1, qq + 1),) if i == 0 else (av(pp, qq),))
-            return out
-        # middle face: lab = (s_1, ..., s_{n-1}), 0 keeps order, 1 swaps
-        s = dict(enumerate(lab, start=1))
-        module = _ordered((0, "m"), av(i, i + 1), s[i])
-        return [module] + [
-            _pair_merge(av, n, i, pp, qq, s)
-            for pp in range(1, n) for qq in range(pp + 1, n)
-        ]
-
-    column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
-    tag = f"triangular({a.label or 'A'},{m.label or 'M'})"
-    return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
-
-
-# ---------------------------------------------------------------------------
-# the two-algebra system
-# ---------------------------------------------------------------------------
 
 
 def _pair_slot(n: int, p: int, q: int) -> int:

@@ -18,7 +18,13 @@ from .errors import ValidationError, spec_ints
 
 
 def _read_literal(s):
-    """The rational value of a scalar literal such as ``"-3"`` or ``"2/3"``."""
+    """The rational value of a scalar literal such as ``"-3"`` or ``"2/3"``:
+    an ``int`` when ``int`` reads it, so integer literals load no
+    ``fractions``, else a ``Fraction``."""
+    try:
+        return int(str(s))
+    except ValueError:
+        pass
     from fractions import Fraction
     try:
         return Fraction(str(s))

@@ -18,6 +18,7 @@ __all__ = [
     "PointedSimplicialSet",
     "FiberPartition",
     "circle",
+    "sphere2",
     "simplicial_from_json",
     "simplicial_to_json",
 ]
@@ -221,6 +222,36 @@ def circle(max_level: int) -> PointedSimplicialSet:
         faces=tuple(faces),
         degeneracies=tuple(degeneracies),
         label=f"circle({max_level})",
+    )
+
+
+def sphere2(max_level: int) -> PointedSimplicialSet:
+    """The two-sphere Delta^2/dDelta^2, pointed at the collapsed boundary.
+
+    An n-simplex of Delta^2 is a sequence 0...0 1...1 2...2 of length n + 1.
+    One that uses all three values is written (p, q), the positions of its
+    first 1 and its first 2, and numbered from 1 in row-major order; every
+    other one lies in the boundary and is the basepoint.  d_i deletes entry
+    i, and a sequence that loses a value goes to the basepoint.
+    """
+    def simplices(n):
+        return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+
+    faces = []
+    for n in range(1, max_level + 1):
+        ids = {s: k for k, s in enumerate(simplices(n - 1), start=1)}
+        faces.append(tuple(
+            tuple([0] + [
+                0 if (i == 0 and p == 1) or (i == p == q - 1) or (i == n == q)
+                else ids[(p - (i < p), q - (i < q))]
+                for p, q in simplices(n)
+            ])
+            for i in range(n + 1)))
+    return PointedSimplicialSet(
+        max_level=max_level,
+        sizes=tuple(1 + n * (n - 1) // 2 for n in range(max_level + 1)),
+        faces=tuple(faces),
+        label=f"sphere2({max_level})",
     )
 
 

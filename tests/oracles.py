@@ -8,6 +8,7 @@ over speed; they exist to certify the package's answers on small inputs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -207,6 +208,25 @@ def circle_candidates_dense(mult, d: int, max_degree: int):
                 classical_face_dense(mult, d, n, i, swap=True),
             ]
     return cands
+
+
+def boundary_triangle(max_level: int) -> dict:
+    """The circle dDelta^2, pointed at a vertex, in the simplicial JSON format.
+
+    Its n-simplices are the sequences 0...0 1...1 2...2 of length n + 1 that
+    miss a value, numbered in lexicographic order, so the basepoint 0...0
+    is simplex 0; d_i deletes entry i.
+    """
+    levels = [[s for s in itertools.combinations_with_replacement(range(3), n + 1)
+               if len(set(s)) < 3] for n in range(max_level + 1)]
+    ids = [{s: k for k, s in enumerate(level)} for level in levels]
+    faces = {
+        str(n): [[ids[n - 1][s[:i] + s[i + 1:]] for s in levels[n]]
+                 for i in range(n + 1)]
+        for n in range(1, max_level + 1)
+    }
+    return {"max_level": max_level, "sizes": [len(lv) for lv in levels],
+            "faces": faces, "label": f"boundary_triangle({max_level})"}
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from lambda_homology.constructions import (
 from lambda_homology.errors import ResourceCapError, ValidationError
 from lambda_homology.fields import Rationals
 from lambda_homology.linalg import Matrix
-from lambda_homology.simplicial import circle
+from lambda_homology.simplicial import circle, simplicial_from_json
 from lambda_homology.systems import compute_theta, trivial_system
+from oracles import boundary_triangle
 
 Q = Rationals()
 
@@ -109,6 +110,30 @@ def test_loday_chain_requires_commutative(upper, circle4):
     with pytest.raises(ValidationError) as err:
         loday_chain(upper, Bimodule.regular(upper), circle4)
     assert "commutative" in err.value.message
+
+
+@pytest.mark.parametrize("algebra, betti", [
+    ("dual", {"circle": [2, 1], "boundary_triangle": [2, 1], "classical": [2, 1]}),
+    ("upper", {"circle": [3, 0], "boundary_triangle": [2, 1], "classical": [2, 0]}),
+], ids=["dual", "upper"])
+def test_theta_homology_depends_on_the_model_of_the_circle(request, algebra, betti):
+    """``circle`` and dDelta^2 are two simplicial models of the circle.  For
+    a commutative algebra higher Hochschild homology depends only on the
+    homotopy type (Pirashvili 2000), and the two models and the classical
+    system agree; for the upper-triangular algebra all three differ, so
+    theta-homology is not a homotopy invariant."""
+    a = request.getfixturevalue(algebra)
+    m = Bimodule.regular(a)
+    x = simplicial_from_json(boundary_triangle(2))
+    assert x.sizes == (3, 6, 9)
+    thetas = {
+        "circle": compute_theta(higher_hochschild_system(a, m, circle(2))),
+        "boundary_triangle": compute_theta(higher_hochschild_system(a, m, x)),
+        "classical": compute_theta(hochschild_system(a, m, 2)),
+    }
+    assert {name: theta.betti() for name, theta in thetas.items()} == betti
+    if algebra == "upper":
+        assert thetas["boundary_triangle"].dims() == [27, 591, 14815]
 
 
 # ---------------------------------------------------------------------------

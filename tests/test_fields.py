@@ -75,6 +75,25 @@ def test_rationals_rejects_garbage():
         q.parse("one half")
 
 
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(7)], ids=["Q", "F7"])
+def test_parse_reads_literals_as_fraction_does(field):
+    """Integer literals are read by ``int``, the others by ``Fraction``:
+    the values and the error messages are those of ``Fraction`` alone."""
+    for s in [" 3 ", "+3", "1_000", "-0", "-12", 5, "3.0", "1e3", "10/4",
+              "-7/5", "0.5"]:
+        x = Fraction(str(s))
+        if field.p is None:
+            want = x.numerator if x.denominator == 1 else x
+        else:
+            want = x.numerator * pow(x.denominator, -1, 7) % 7
+        got = field.parse(s)
+        assert got == want and type(got) is type(want)
+    for s in ["abc", "1/0", "3.0.1", "1__0", "", True]:
+        with pytest.raises(ValidationError) as err:
+            field.parse(s)
+        assert err.value.message == f"bad rational literal {s!r}"
+
+
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValidationError):
         PrimeField(6)

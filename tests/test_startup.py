@@ -51,6 +51,22 @@ def test_witness_job_reads_no_fraction():
     assert "fractions" not in loaded_heavy(job)
 
 
+def test_integer_literals_read_no_fraction(tmp_path):
+    """Structure constants written as integer literals are read as ints."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "construction": "hochschild", "field": {"kind": "Fp", "p": 7},
+        "algebra": {"dim": 2, "unit": ["1", "0"],
+                    "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+        "max_degree": 3,
+    }))
+    job = cli_job(["homology", str(spec), "--out", str(tmp_path / "report.json")])
+    loaded = loaded_heavy(job)
+    assert "fractions" not in loaded and "decimal" not in loaded
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [e["betti"] for e in report["entries"]] == [2, 1, 1]
+
+
 def test_small_dense_prime_field_job_does_not_import_numpy(tmp_path):
     """Its one dense elimination is 2 x 9, far too small to repay numpy."""
     spec = tmp_path / "spec.json"
