@@ -2,17 +2,21 @@
 
 Scalars are plain Python values.  Over the rationals a scalar is an ``int``
 when its value is an integer and a ``Fraction`` otherwise; every shipped
-construction has integer structure constants, so elimination mostly runs
-on ints and pays for a gcd only where a pivot forces one.  ``fractions``
-(which loads ``decimal``) is imported on first use.  Arithmetic may
-still yield an integral ``Fraction``, which compares, hashes and prints
-like the equal ``int``, so no code needs to tell the two apart.  Over a
-prime field scalars are ints kept canonical in ``[0, p)``.  The field
-objects supply arithmetic, parsing of ``"a/b"`` strings, and the row
-kernels the elimination code runs hot.
+construction has integer structure constants.  Elimination over Q is
+fraction-free: it clears a row's denominators once, keeps rows as
+primitive integer dicts, and divides a pivot row by its pivot only when
+the row is done, so a ``Fraction`` appears only where the reduced form is
+not integral.  ``fractions`` (which loads ``decimal``) is imported on
+first use.  Arithmetic may still yield an integral ``Fraction``, which
+compares, hashes and prints like the equal ``int``, so no code needs to
+tell the two apart.  Over a prime field scalars are ints kept canonical in
+``[0, p)``.  The field objects supply arithmetic, parsing of ``"a/b"``
+strings, and the row kernels the elimination code runs hot.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import ValidationError, spec_ints
 
@@ -65,9 +69,9 @@ class Rationals:
     Integral values are ``int`` and the others ``Fraction``: ``zero``,
     ``one``, ``from_int`` and ``parse`` of an integer literal give ints;
     ``inv`` gives an int for +-1 and a ``Fraction`` otherwise.  Sums and
-    products of ints stay ints and run no gcd, so integer inputs are
-    eliminated at the cost of int arithmetic until a pivot other than +-1
-    introduces a denominator.
+    products of ints stay ints and run no gcd; elimination multiplies
+    instead of dividing, so integer inputs are eliminated on ints
+    throughout.
     """
 
     kind = "Q"
@@ -125,9 +129,69 @@ class Rationals:
                 del dst[k]
                 colindex[k].discard(dst_id)
 
-    def scale_row(self, row: dict, c) -> None:
-        for k in row:
-            row[k] = row[k] * c
+    # Elimination keeps rows as primitive integer dicts and divides only
+    # once a pivot row is done (Bareiss 1968, fraction-free elimination).
+
+    def make_integral(self, row: dict) -> None:
+        """Scale a row in place to a primitive integer row if it holds a
+        ``Fraction``; a row of ints is left as it is."""
+        dens = [v.denominator for v in row.values() if type(v) is not int]
+        if not dens:
+            return
+        scale = lcm(*dens)
+        for k, v in row.items():
+            row[k] = int(v * scale)
+        self._divide_content(row)
+
+    @staticmethod
+    def _divide_content(row: dict) -> None:
+        g = gcd(*row.values())
+        if g > 1:
+            for k, v in row.items():
+                row[k] = v // g
+
+    def pivot_key(self, pv):
+        """What ``cancel`` needs of a pivot besides its row: nothing over Q,
+        where ``cancel`` reads the pivot off the row."""
+        return None
+
+    def cancel(self, dst: dict, src: dict, col: int, key,
+               colindex=None, dst_id=None) -> None:
+        """Clear column ``col`` of ``dst`` with the pivot row ``src``:
+        dst <- (pv/g) dst - (f/g) src for pv = src[col], f = dst[col] and
+        g = gcd(pv, f), divided by its content if it was scaled.  With
+        ``colindex``, a column -> row-ids index is kept in sync."""
+        pv, f = src[col], dst[col]
+        g = gcd(pv, f)
+        a, b = pv // g, f // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for k, v in dst.items():
+                dst[k] = a * v
+        if colindex is None:
+            self.axpy_row(dst, src, -b)
+        else:
+            self.axpy_row_indexed(dst, src, -b, colindex, dst_id)
+        if a != 1 and dst:
+            self._divide_content(dst)
+
+    def unit_pivot(self, row: dict, col: int) -> None:
+        """Divide an integer row by its entry at ``col``: an entry stays an
+        ``int`` where the division is exact and becomes a ``Fraction``
+        (importing ``fractions``) only where it is not."""
+        pv = row[col]
+        if pv == 1:
+            return
+        frac = None
+        for k, v in row.items():
+            q, r = divmod(v, pv)
+            if r:
+                if frac is None:
+                    from fractions import Fraction as frac
+                row[k] = frac(v, pv)
+            else:
+                row[k] = q
 
     def to_json(self) -> dict:
         return {"kind": "Q"}
@@ -212,10 +276,31 @@ class PrimeField:
                 del dst[k]
                 colindex[k].discard(dst_id)
 
-    def scale_row(self, row: dict, c) -> None:
-        p = self.p
-        for k in row:
-            row[k] = (row[k] * c) % p
+    def make_integral(self, row: dict) -> None:
+        """Nothing to clear: scalars are already ints."""
+
+    def pivot_key(self, pv):
+        """-1/pv, so that ``cancel`` finds its factor with one product; a
+        pivot row's pivot entry never changes, so one key serves it."""
+        return self.p - pow(pv, -1, self.p)
+
+    def cancel(self, dst: dict, src: dict, col: int, key,
+               colindex=None, dst_id=None) -> None:
+        """Clear column ``col`` of ``dst``: dst += (dst[col] key) src."""
+        c = dst[col] * key % self.p
+        if colindex is None:
+            self.axpy_row(dst, src, c)
+        else:
+            self.axpy_row_indexed(dst, src, c, colindex, dst_id)
+
+    def unit_pivot(self, row: dict, col: int) -> None:
+        """Divide a row by its entry at ``col``."""
+        pv = row[col]
+        if pv != 1:
+            p = self.p
+            c = pow(pv, -1, p)
+            for k, v in row.items():
+                row[k] = v * c % p
 
     def to_json(self) -> dict:
         return {"kind": "Fp", "p": self.p}

@@ -5,13 +5,19 @@ column -> nonzero scalar.  Subspaces are stored via a basis in reduced
 row-echelon form with strictly increasing pivots, so two equal subspaces
 have syntactically identical bases and equality is a plain comparison.
 
-Elimination uses the leftmost nonzero column as the pivot column (the
-result, being a reduced echelon form, is unique no matter how pivot rows
-are chosen; rows are picked sparsest-first for speed).  Inputs that are
-dense enough are routed to a dense engine.  The numpy engine
-``_rref_dense_fp_numpy`` is kept for comparison (the engine tests and the
-benchmark trace use it); ``rref`` never calls it, because importing numpy
-costs more than any dense elimination a job has been seen to run.
+``rref`` runs one sparse engine with two loops.  The reduced echelon form
+is built row by row, shortest row first: each row is reduced in one pass
+against the reduced pivot rows found so far, and a row that survives is
+cleared out of the pivot rows that hold its leftmost column (the form is
+unique, so the visiting order cannot change it).  A rank needs only an
+echelon form, built column by column, left to right.  Over Q both loops
+are fraction-free: rows are primitive integer dicts, and a pivot row is
+divided by its pivot only at the end, giving ``Fraction`` entries only
+where the reduced form is not integral.  The dense engines
+``_rref_dense_python`` and ``_rref_dense_fp_numpy`` are kept for
+comparison (the engine tests and the benchmark trace use them); ``rref``
+calls neither, since the sparse engine is the faster one even on filled
+matrices.
 """
 
 from __future__ import annotations
@@ -20,10 +26,6 @@ from collections import defaultdict
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-
-#: above this fill ratio the elimination switches to a dense representation
-DENSE_THRESHOLD = 0.25
-
 
 #: the one zero column that ``Matrix.from_columns`` stores; never mutated
 _NO_ENTRIES: dict = {}
@@ -189,20 +191,52 @@ class Matrix:
 
 
 def _rref_sparse(field, work: list[dict], ncols: int, full: bool):
+    for row in work:
+        field.make_integral(row)
+    key_of = field.pivot_key
+    if full:
+        # Row by row, shortest first, against the reduced pivot rows found
+        # so far.  Those are zero at each other's pivots, so one pass over
+        # the row's pivot columns reduces it, and a row that survives is
+        # cleared out of the pivot rows that hold its leftmost column.
+        cancel = field.cancel
+        row_at: dict[int, dict] = {}       # pivot column -> its row
+        keys: dict[int, object] = {}
+        holders = defaultdict(set)         # column -> pivots whose row has it
+        for row in sorted(work, key=len):
+            for c in [c for c in row if c in row_at]:
+                cancel(row, row_at[c], c, keys[c])
+            if not row:
+                continue
+            col = min(row)
+            key = keys[col] = key_of(row[col])
+            for pc in holders.pop(col, ()):
+                cancel(row_at[pc], row, col, key, holders, pc)
+            row_at[col] = row
+            for c in row:
+                if c != col:
+                    holders[c].add(col)
+            if len(row_at) == ncols:
+                break
+        pivots = sorted(row_at)
+        rows = [row_at[c] for c in pivots]
+        for c, row in zip(pivots, rows):
+            field.unit_pivot(row, c)
+        return rows, tuple(pivots)
+    # Column by column, the shortest live row holding the column as pivot
+    # row; entries are cleared only below the pivots.
     colindex = defaultdict(set)
     for idx, row in enumerate(work):
         for c in row:
             colindex[c].add(idx)
     done: set[int] = set()
     piv: list[tuple[int, int]] = []
-    axpy = field.axpy_row_indexed
+    cancel = field.cancel
     nrows = len(work)
     # iterate only columns that are ever populated: empty columns cannot
     # carry a pivot, and column counts can dwarf the support of the rows
     for col in sorted(colindex):
-        cand = colindex.get(col)
-        if not cand:
-            continue
+        cand = colindex[col]
         best = -1
         best_len = -1
         for idx in cand:
@@ -215,19 +249,13 @@ def _rref_sparse(field, work: list[dict], ncols: int, full: bool):
         if best < 0:
             continue
         prow = work[best]
-        pv = prow[col]
-        if pv != field.one:
-            field.scale_row(prow, field.inv(pv))
-        targets = [i for i in cand if i != best and (full or i not in done)]
-        for idx in targets:
-            f = work[idx].get(col)
-            if f is not None:
-                axpy(work[idx], prow, field.neg(f), colindex, idx)
+        key = key_of(prow[col])
+        for idx in [i for i in cand if i != best and i not in done]:
+            cancel(work[idx], prow, col, key, colindex, idx)
         done.add(best)
         piv.append((col, best))
         if len(done) == nrows:
             break
-    piv.sort()
     return [work[i] for _, i in piv], tuple(c for c, _ in piv)
 
 
@@ -327,21 +355,19 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
 def rref(field, rows: Sequence[dict], ncols: int, full: bool = True):
     """Row-reduce sparse rows; returns (echelon rows, pivot columns).
 
-    With ``full=True`` the result is the reduced row-echelon form (unique);
-    with ``full=False`` only entries below pivots are cleared, which is
-    enough for ranks.  Zero rows are dropped; pivots come back strictly
-    increasing with their rows in matching order.  The caller hands the
-    row dicts over, each a distinct dict: they are eliminated in place,
-    not copied, and their contents are unspecified afterwards.  Pass
-    copies to keep the rows.
+    With ``full=True`` the result is the reduced row-echelon form (unique),
+    built row by row; with ``full=False`` only entries below pivots are
+    cleared, column by column, which is enough for ranks: the pivots are
+    the same and the rows are not scaled to a unit pivot (over Q they are
+    primitive integer rows).  Zero rows are dropped; pivots come back
+    strictly increasing with their rows in matching order.  The caller
+    hands the row dicts over, each a distinct dict: they are eliminated in
+    place, not copied, and their contents are unspecified afterwards.
+    Pass copies to keep the rows.
     """
     work = [r for r in rows if r]
     if not work or ncols == 0:
         return [], ()
-    nnz = sum(len(r) for r in work)
-    density = nnz / (len(work) * ncols)
-    if density > DENSE_THRESHOLD:
-        return _rref_dense_python(field, work, ncols, full)
     return _rref_sparse(field, work, ncols, full)
 
 

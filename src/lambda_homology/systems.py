@@ -354,6 +354,12 @@ class ThetaComplex:
         top degree is unknown, so the report is valid up to N-1.  The ranks
         are computed once, degree by degree as ``_boundaries`` yields the
         boundaries; each call returns a fresh report.
+
+        Each rank is taken on theta_{n-1} coordinates.  This needs the
+        subspaces closed under the boundary, as ``compute_theta``'s closure
+        rows make them: then every image row lies in theta_{n-1}, where its
+        entries at the basis pivots fix it, so the other entries are dropped
+        before the rank.  The matrix keeps the ambient column count.
         """
         f = self.system.field
         n_max = self.max_degree
@@ -361,6 +367,10 @@ class ThetaComplex:
             ranks = [0] * (n_max + 2)
             for n, bnd in self._boundaries():
                 rows = self.boundary_image_rows(n, bnd)
+                lower = self.subspaces[n - 1]
+                if not lower.is_full:
+                    keep = set(lower.pivots)
+                    rows = [{c: v for c, v in r.items() if c in keep} for r in rows]
                 ranks[n] = rank(Matrix(f, len(rows), self.system.dims[n - 1], rows))
             self._ranks = ranks
         ranks = self._ranks

@@ -70,6 +70,29 @@ def rank_dense_mod(rows, p: int) -> int:
     return r
 
 
+def rref_dense_mod(rows, p: int):
+    """Reduced row echelon form of a list of int lists over the field with
+    p elements: (rows with entries in [0, p), pivot columns)."""
+    mat = [[x % p for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
 def kernel_dense(rows, ncols):
     """Basis of the right null space, rows as Fraction lists."""
     red, pivots = rref_dense(rows)

@@ -1,5 +1,6 @@
 """Exact linear algebra against the dense Fraction oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
-    DENSE_THRESHOLD,
     Matrix,
     Subspace,
     _rref_dense_fp_numpy,
@@ -26,6 +26,7 @@ from oracles import (
     rank_dense,
     rank_dense_mod,
     rref_dense,
+    rref_dense_mod,
 )
 
 Q = Rationals()
@@ -184,13 +185,13 @@ F_BIG = PrimeField(2147483629)
 @st.composite
 def shaped_matrix(draw):
     """A tall or wide matrix over Q, F_7 or F_2147483629, filled either at
-    most ``DENSE_THRESHOLD`` or above it."""
+    most a quarter or more."""
     field = draw(st.sampled_from([Q, F7, F_BIG]))
     short = draw(st.integers(1, 5))
     long = draw(st.integers(short + 1, 10))
     nrows, ncols = (long, short) if draw(st.booleans()) else (short, long)
     cells = [(r, c) for r in range(nrows) for c in range(ncols)]
-    quarter = max(1, int(DENSE_THRESHOLD * len(cells)))
+    quarter = max(1, len(cells) // 4)
     if draw(st.booleans()):
         count = draw(st.integers(1, quarter))
     else:
@@ -236,8 +237,8 @@ def engine_case(draw):
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
         a, b = draw(nonzero), draw(nonzero)
-        row = dict(rows[i])
-        field.scale_row(row, a)
+        row = {}
+        field.axpy_row(row, rows[i], a)
         field.axpy_row(row, rows[j], b)
         rows.append(row)
     return field, [r for r in rows if r], ncols
@@ -270,9 +271,115 @@ def test_elimination_engines_agree(case, full):
             assert Subspace.from_vectors(field, ncols, out_rows) == span
 
 
+def oracle_rref(field, rows, ncols):
+    """The dense oracle's reduced form of sparse rows, as sparse rows."""
+    dense = Matrix(field, len(rows), ncols, rows).to_dense()
+    if field is Q:
+        red, pivots = rref_dense([[Fraction(x) for x in row] for row in dense])
+    else:
+        red, pivots = rref_dense_mod(dense, field.p)
+    return [{c: v for c, v in enumerate(row) if v} for row in red], tuple(pivots)
+
+
+@st.composite
+def reduction_case(draw):
+    """Up to 12 x 16 rows over Q, F_7 or F_2147483629, mostly zero, plus up
+    to four rows that each combine two or three drawn ones.  Over Q the
+    entries are fractions, so pivots are rarely +-1."""
+    field = draw(st.sampled_from([Q, F7, F_BIG]))
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 16))
+    if field is Q:
+        nonzero = st.builds(lambda a, b: Q.parse(f"{a}/{b}"),
+                            st.integers(-9, 9).filter(bool), st.integers(1, 5))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    entries = st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
+    rows = []
+    for _ in range(nrows):
+        cells = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append({c: v for c, v in enumerate(cells) if v})
+    for _ in range(draw(st.integers(0, 4))):
+        picks = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=3))
+        row: dict = {}
+        for i in picks:
+            field.axpy_row(row, rows[i], draw(nonzero))
+        rows.append(row)
+    return field, [r for r in rows if r], ncols
+
+
+@settings(max_examples=150)
+@given(reduction_case())
+def test_reduced_form_matches_dense_engine_and_oracle(case):
+    """The row-by-row reduced form equals, row for row, the dense engine's
+    and the oracle's; over Q its integral entries are ints."""
+    field, rows, ncols = case
+    got = _rref_sparse(field, [dict(r) for r in rows], ncols, True)
+    assert got == _rref_dense_python(field, [dict(r) for r in rows], ncols, True)
+    assert got == oracle_rref(field, rows, ncols)
+    if field is Q:
+        assert all(type(v) is int or v.denominator > 1
+                   for row in got[0] for v in row.values())
+
+
+@settings(max_examples=150)
+@given(reduction_case())
+def test_rank_path_pivots_match_oracle(case):
+    """``full=False`` keeps the column order: the oracle's pivots, rows in
+    echelon form (each starts at its pivot, later rows are zero there)
+    spanning the same space."""
+    field, rows, ncols = case
+    out, pivots = _rref_sparse(field, [dict(r) for r in rows], ncols, False)
+    oracle_rows, oracle_pivots = oracle_rref(field, rows, ncols)
+    assert pivots == oracle_pivots
+    assert len(out) == len(pivots)
+    for i, (row, c) in enumerate(zip(out, pivots)):
+        assert min(row) == c
+        assert all(c not in later for later in out[i + 1:])
+    assert (Subspace.from_vectors(field, ncols, out)
+            == Subspace.from_vectors(field, ncols, oracle_rows))
+
+
+class CountingField(PrimeField):
+    """A prime field that counts the pivot rows ``cancel`` clears after
+    they became pivot rows (the calls that keep the row index)."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.back_cleared = 0
+
+    def cancel(self, dst, src, col, key, colindex=None, dst_id=None):
+        self.back_cleared += colindex is not None
+        super().cancel(dst, src, col, key, colindex, dst_id)
+
+
+def test_sparse_system_with_many_dependent_rows():
+    """240 sparse rows over F_2147483629, two thirds of them combinations
+    of the others: the reduced form clears many pivot rows after the fact
+    and still equals the dense engine's and the oracle's."""
+    field = CountingField(2147483629)
+    rng = random.Random(13)
+    ncols = 120
+    base = [{c: rng.randrange(1, field.p) for c in rng.sample(range(ncols), rng.randint(2, 7))}
+            for _ in range(80)]
+    rows = [dict(r) for r in base]
+    for _ in range(160):
+        row: dict = {}
+        for r in rng.sample(base, rng.randint(2, 4)):
+            field.axpy_row(row, r, rng.randrange(1, field.p))
+        rows.append(row)
+    rng.shuffle(rows)
+    got = _rref_sparse(field, [dict(r) for r in rows], ncols, True)
+    assert field.back_cleared > 50
+    assert got == _rref_dense_python(field, [dict(r) for r in rows], ncols, True)
+    assert got == oracle_rref(field, rows, ncols)
+    assert len(got[1]) == rank_dense_mod(
+        Matrix(field, len(rows), ncols, rows).to_dense(), field.p)
+
+
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
 @pytest.mark.parametrize("dense", [
-    # 4 x 3, filled above DENSE_THRESHOLD
+    # 4 x 3, filled more than a quarter
     [[2, 4, 1], [1, 2, 3], [3, 6, 4], [0, 0, 5]],
     # 5 x 10, filled below it; pivots other than 1 and shared columns
     [[2, 1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 3, 0, 0, 0, 0, 0, 0, 0, 0],

@@ -2,11 +2,15 @@
 
 import pytest
 
-from lambda_homology.algebras import Bimodule
+from lambda_homology.algebras import Bimodule, group_algebra, symmetric_group_table
 from lambda_homology.config import ResourceCaps
-from lambda_homology.constructions import hochschild_system, higher_hochschild_system
+from lambda_homology.constructions import (
+    higher_hochschild_system,
+    hochschild_system,
+    sphere2_system,
+)
 from lambda_homology.errors import InternalCheckError, ResourceCapError, ValidationError
-from lambda_homology.fields import Rationals
+from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix, Subspace, rank
 from lambda_homology.simplicial import circle
 from lambda_homology import systems
@@ -234,6 +238,32 @@ def test_homology_is_computed_once(dual, monkeypatch):
     assert "theta" not in second and second["entries"][0]["betti"] != -1
     assert theta.betti() == [e["betti"] for e in second["entries"]]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("case", ["dual", "upper", "m2", "s3/Fp", "sphere2/upper"])
+def test_theta_coordinate_ranks_equal_ambient_ranks(request, case):
+    """``homology()`` ranks each boundary on the pivot coordinates of
+    theta_{n-1}; on the shipped constructions every rank equals the rank of
+    the full ambient image rows."""
+    if case == "s3/Fp":
+        a = group_algebra(PrimeField(2147483629), symmetric_group_table(3))
+    else:
+        a = request.getfixturevalue(case.split("/")[-1])
+    m = Bimodule.regular(a)
+    if case.startswith("sphere2"):
+        sys_ = sphere2_system(a, m, 3)
+    else:
+        sys_ = higher_hochschild_system(a, m, circle(3))
+    theta = compute_theta(sys_)
+    entries = theta.homology()["entries"]
+    ranks = [e["rank_d_n"] for e in entries] + [entries[-1]["rank_d_n_plus_1"]]
+    ambient = [0]
+    for n in range(1, theta.max_degree + 1):
+        rows = theta.boundary_image_rows(n)
+        ambient.append(rank(Matrix(sys_.field, len(rows), sys_.dims[n - 1], rows)))
+    assert ranks == ambient
+    if case != "dual":   # a proper theta_{n-1}, so entries were dropped
+        assert not all(s.is_full for s in theta.subspaces[:-1])
 
 
 def test_homology_quotients_classify_cycles(dual):
