@@ -160,7 +160,9 @@ class Rationals:
         """Clear column ``col`` of ``dst`` with the pivot row ``src``:
         dst <- (pv/g) dst - (f/g) src for pv = src[col], f = dst[col] and
         g = gcd(pv, f), divided by its content if it was scaled.  With
-        ``colindex``, a column -> row-ids index is kept in sync."""
+        ``colindex``, a column -> row-ids index is kept in sync; only the
+        reduced echelon form passes one, when it clears a new pivot's
+        column out of earlier pivot rows."""
         pv, f = src[col], dst[col]
         g = gcd(pv, f)
         a, b = pv // g, f // g
@@ -286,7 +288,9 @@ class PrimeField:
 
     def cancel(self, dst: dict, src: dict, col: int, key,
                colindex=None, dst_id=None) -> None:
-        """Clear column ``col`` of ``dst``: dst += (dst[col] key) src."""
+        """Clear column ``col`` of ``dst``: dst += (dst[col] key) src.
+        With ``colindex`` (passed only when the reduced echelon form clears
+        an earlier pivot row), a column -> row-ids index is kept in sync."""
         c = dst[col] * key % self.p
         if colindex is None:
             self.axpy_row(dst, src, c)

@@ -5,15 +5,16 @@ column -> nonzero scalar.  Subspaces are stored via a basis in reduced
 row-echelon form with strictly increasing pivots, so two equal subspaces
 have syntactically identical bases and equality is a plain comparison.
 
-``rref`` runs one sparse engine with two loops.  The reduced echelon form
-is built row by row, shortest row first: each row is reduced in one pass
+``rref`` runs one sparse engine, one loop over the rows, shortest row
+first.  For the reduced echelon form each row is reduced in one pass
 against the reduced pivot rows found so far, and a row that survives is
 cleared out of the pivot rows that hold its leftmost column (the form is
 unique, so the visiting order cannot change it).  A rank needs only an
-echelon form, built column by column, left to right.  Over Q both loops
-are fraction-free: rows are primitive integer dicts, and a pivot row is
-divided by its pivot only at the end, giving ``Fraction`` entries only
-where the reduced form is not integral.  The dense engines
+echelon form: each row is reduced until its leftmost column is new, and
+then becomes that column's pivot row for good.  Over Q elimination is
+fraction-free: rows are primitive integer dicts, and a pivot row of the
+reduced form is divided by its pivot only at the end, giving ``Fraction``
+entries only where the reduced form is not integral.  The dense engines
 ``_rref_dense_python`` and ``_rref_dense_fp_numpy`` are kept for
 comparison (the engine tests and the benchmark trace use them); ``rref``
 calls neither, since the sparse engine is the faster one even on filled
@@ -191,72 +192,42 @@ class Matrix:
 
 
 def _rref_sparse(field, work: list[dict], ncols: int, full: bool):
+    # With ``full`` one pass against the reduced pivot rows reduces a row
+    # (they are zero at each other's pivots); without it a pivot row is
+    # never touched again, since an echelon form is enough for a rank.
     for row in work:
         field.make_integral(row)
     key_of = field.pivot_key
-    if full:
-        # Row by row, shortest first, against the reduced pivot rows found
-        # so far.  Those are zero at each other's pivots, so one pass over
-        # the row's pivot columns reduces it, and a row that survives is
-        # cleared out of the pivot rows that hold its leftmost column.
-        cancel = field.cancel
-        row_at: dict[int, dict] = {}       # pivot column -> its row
-        keys: dict[int, object] = {}
-        holders = defaultdict(set)         # column -> pivots whose row has it
-        for row in sorted(work, key=len):
+    cancel = field.cancel
+    row_at: dict[int, dict] = {}           # pivot column -> its row
+    keys: dict[int, object] = {}
+    holders = defaultdict(set)             # column -> pivots whose row has it
+    for row in sorted(work, key=len):
+        if full:
             for c in [c for c in row if c in row_at]:
                 cancel(row, row_at[c], c, keys[c])
-            if not row:
-                continue
-            col = min(row)
-            key = keys[col] = key_of(row[col])
+        else:
+            while row and (c := min(row)) in row_at:
+                cancel(row, row_at[c], c, keys[c])
+        if not row:
+            continue
+        col = min(row)
+        key = keys[col] = key_of(row[col])
+        row_at[col] = row
+        if full:
             for pc in holders.pop(col, ()):
                 cancel(row_at[pc], row, col, key, holders, pc)
-            row_at[col] = row
             for c in row:
                 if c != col:
                     holders[c].add(col)
-            if len(row_at) == ncols:
-                break
-        pivots = sorted(row_at)
-        rows = [row_at[c] for c in pivots]
+        if len(row_at) == ncols:
+            break
+    pivots = sorted(row_at)
+    rows = [row_at[c] for c in pivots]
+    if full:
         for c, row in zip(pivots, rows):
             field.unit_pivot(row, c)
-        return rows, tuple(pivots)
-    # Column by column, the shortest live row holding the column as pivot
-    # row; entries are cleared only below the pivots.
-    colindex = defaultdict(set)
-    for idx, row in enumerate(work):
-        for c in row:
-            colindex[c].add(idx)
-    done: set[int] = set()
-    piv: list[tuple[int, int]] = []
-    cancel = field.cancel
-    nrows = len(work)
-    # iterate only columns that are ever populated: empty columns cannot
-    # carry a pivot, and column counts can dwarf the support of the rows
-    for col in sorted(colindex):
-        cand = colindex[col]
-        best = -1
-        best_len = -1
-        for idx in cand:
-            if idx in done:
-                continue
-            k = len(work[idx])
-            if best < 0 or k < best_len or (k == best_len and idx < best):
-                best = idx
-                best_len = k
-        if best < 0:
-            continue
-        prow = work[best]
-        key = key_of(prow[col])
-        for idx in [i for i in cand if i != best and i not in done]:
-            cancel(work[idx], prow, col, key, colindex, idx)
-        done.add(best)
-        piv.append((col, best))
-        if len(done) == nrows:
-            break
-    return [work[i] for _, i in piv], tuple(c for c, _ in piv)
+    return rows, tuple(pivots)
 
 
 def _rref_dense_python(field, work: list[dict], ncols: int, full: bool):
@@ -355,15 +326,16 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
 def rref(field, rows: Sequence[dict], ncols: int, full: bool = True):
     """Row-reduce sparse rows; returns (echelon rows, pivot columns).
 
-    With ``full=True`` the result is the reduced row-echelon form (unique),
-    built row by row; with ``full=False`` only entries below pivots are
-    cleared, column by column, which is enough for ranks: the pivots are
-    the same and the rows are not scaled to a unit pivot (over Q they are
-    primitive integer rows).  Zero rows are dropped; pivots come back
-    strictly increasing with their rows in matching order.  The caller
-    hands the row dicts over, each a distinct dict: they are eliminated in
-    place, not copied, and their contents are unspecified afterwards.
-    Pass copies to keep the rows.
+    Either way the rows are visited shortest first.  With ``full=True``
+    the result is the reduced row-echelon form (unique); with
+    ``full=False`` each row is reduced only until its leftmost column is
+    no other row's pivot, which gives an echelon form, enough for ranks:
+    the pivots are the same and the rows are not scaled to a unit pivot
+    (over Q they are primitive integer rows).  Zero rows are dropped;
+    pivots come back strictly increasing with their rows in matching
+    order.  The caller hands the row dicts over, each a distinct dict:
+    they are eliminated in place, not copied, and their contents are
+    unspecified afterwards.  Pass copies to keep the rows.
     """
     work = [r for r in rows if r]
     if not work or ncols == 0:

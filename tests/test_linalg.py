@@ -325,9 +325,10 @@ def test_reduced_form_matches_dense_engine_and_oracle(case):
 @settings(max_examples=150)
 @given(reduction_case())
 def test_rank_path_pivots_match_oracle(case):
-    """``full=False`` keeps the column order: the oracle's pivots, rows in
-    echelon form (each starts at its pivot, later rows are zero there)
-    spanning the same space."""
+    """``full=False`` reduces each row, shortest first, only until its
+    leftmost column is new: the oracle's pivots, rows in echelon form (each
+    starts at its pivot, later rows are zero there) spanning the same
+    space."""
     field, rows, ncols = case
     out, pivots = _rref_sparse(field, [dict(r) for r in rows], ncols, False)
     oracle_rows, oracle_pivots = oracle_rref(field, rows, ncols)
@@ -353,11 +354,9 @@ class CountingField(PrimeField):
         super().cancel(dst, src, col, key, colindex, dst_id)
 
 
-def test_sparse_system_with_many_dependent_rows():
-    """240 sparse rows over F_2147483629, two thirds of them combinations
-    of the others: the reduced form clears many pivot rows after the fact
-    and still equals the dense engine's and the oracle's."""
-    field = CountingField(2147483629)
+def dependent_system(field):
+    """240 sparse rows in 120 columns, two thirds of them combinations of
+    the other 80, shuffled."""
     rng = random.Random(13)
     ncols = 120
     base = [{c: rng.randrange(1, field.p) for c in rng.sample(range(ncols), rng.randint(2, 7))}
@@ -369,12 +368,31 @@ def test_sparse_system_with_many_dependent_rows():
             field.axpy_row(row, r, rng.randrange(1, field.p))
         rows.append(row)
     rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_sparse_system_with_many_dependent_rows():
+    """The dependent system over F_2147483629: the reduced form clears many
+    pivot rows after the fact and still equals the dense engine's and the
+    oracle's."""
+    field = CountingField(2147483629)
+    rows, ncols = dependent_system(field)
     got = _rref_sparse(field, [dict(r) for r in rows], ncols, True)
     assert field.back_cleared > 50
     assert got == _rref_dense_python(field, [dict(r) for r in rows], ncols, True)
     assert got == oracle_rref(field, rows, ncols)
     assert len(got[1]) == rank_dense_mod(
         Matrix(field, len(rows), ncols, rows).to_dense(), field.p)
+
+
+def test_rank_path_never_changes_a_pivot_row():
+    """On the same system ``full=False`` clears no pivot row once chosen,
+    and still finds the oracle's pivots."""
+    field = CountingField(2147483629)
+    rows, ncols = dependent_system(field)
+    _, pivots = _rref_sparse(field, [dict(r) for r in rows], ncols, False)
+    assert field.back_cleared == 0
+    assert pivots == oracle_rref(field, rows, ncols)[1]
 
 
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])

@@ -266,6 +266,34 @@ def test_theta_coordinate_ranks_equal_ambient_ranks(request, case):
         assert not all(s.is_full for s in theta.subspaces[:-1])
 
 
+def dihedral4_table(perm):
+    """Cayley table of D4 = <r, s | r^4 = s^2 = 1, s r = r^-1 s>, with
+    r^k s^e as element perm[2k + e]."""
+    def mul(g, h):
+        (a, e), (b, f) = divmod(g, 2), divmod(h, 2)
+        return 2 * ((a + (-1) ** e * b) % 4) + (e + f) % 2
+
+    table = [[0] * 8 for _ in range(8)]
+    for g in range(8):
+        for h in range(8):
+            table[perm[g]][perm[h]] = perm[mul(g, h)]
+    return table
+
+
+@pytest.mark.parametrize("perm", [list(range(8)), [5, 2, 7, 0, 3, 6, 1, 4]],
+                         ids=["identity", "relabelled"])
+def test_dihedral_group_ranks_on_circle(perm):
+    """QD4 on circle(3): the d_3 image (3336 x 512, rank 382) is the
+    largest rank the tests take over Q; a relabelling of the group
+    elements changes no dimension, rank or Betti number."""
+    a = group_algebra(Q, dihedral4_table(perm))
+    theta = compute_theta(higher_hochschild_system(a, Bimodule.regular(a), circle(3)))
+    entries = theta.homology()["entries"]
+    assert [e["dim_theta"] for e in entries] == [8, 61, 450]
+    assert [e["rank_d_n_plus_1"] for e in entries] == [0, 61, 382]
+    assert [e["betti"] for e in entries] == [8, 0, 7]
+
+
 def test_homology_quotients_classify_cycles(dual):
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(3))
     theta = compute_theta(sys_)
