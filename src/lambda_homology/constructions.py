@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 
 from .algebras import (
     Algebra,
@@ -138,8 +139,18 @@ def _basis_products(a: Algebra, m: Bimodule | None = None,
     return product
 
 
-def _recipe_column_fn(field, layouts: list[TensorLayout], slots_of, product):
-    """One face evaluator for every construction, driven by slot recipes.
+def _strided(specs, total: int) -> list:
+    """The sum of ``code // stride % modulus * weight`` over the ``(stride,
+    modulus, weight)`` specs, for every code below ``total``."""
+    sums = [0] * total
+    for stride, modulus, weight in specs:
+        run = [v * weight for v in range(modulus) for _ in range(stride)]
+        sums = list(map(add, sums, run * (total // max(len(run), 1))))
+    return sums
+
+
+def _recipe_evaluators(field, layouts: list[TensorLayout], slots_of, product):
+    """Two face evaluators for every construction, driven by slot recipes.
 
     ``slots_of(n, i, lab)`` describes a candidate face: for each slot of the
     degree n-1 layout, the slots of the degree n layout whose basis factors
@@ -152,7 +163,11 @@ def _recipe_column_fn(field, layouts: list[TensorLayout], slots_of, product):
     as the key of a table of basis products (already scaled by the target
     stride), shared by all recipes of the system and filled on first use of
     a key.  A column is the block sum plus the tensor product of the table
-    entries, built fresh for the caller, who owns it.
+    entries.  ``column_fn(n, i, lab, code)`` builds one column, fresh for
+    the caller, for faces applied to single vectors and never built.
+    ``face_rows(n, i, lab)`` builds a whole face in one pass, by rows: the
+    block sums and keys of all codes are strided patterns, each missing
+    table entry is filled once, and each entry goes straight to its row.
     """
     one = field.one
     mul = field.mul
@@ -186,39 +201,63 @@ def _recipe_column_fn(field, layouts: list[TensorLayout], slots_of, product):
                 continue
             last = None
             kinds = share(tuple(k for _, k in factors))
-            radix = tuple(share((src_strides[s], src[s])) for s, _ in factors)
+            ds = [src[s] for s, _ in factors]
+            radix = tuple(share((src_strides[s], ds[j], math.prod(ds[j + 1:])))
+                          for j, (s, _) in enumerate(factors))
             key = (radix, kinds, tgt_strides[t])
             part = parts.get(key)
             if part is None:
                 table = tables.setdefault(key[1:], {})
                 part = parts[key] = (radix, table, kinds, tgt_strides[t])
             multis.append(part)
-        return tuple(share(tuple(b)) for b in blocks), tuple(multis)
+        blocks = tuple(share(tuple(b)) for b in blocks)
+        return recipes.setdefault((n, i, lab), (blocks, tuple(multis)))
+
+    def fill(part, key: int):
+        """Compute and store the table entry of ``key``."""
+        radix, table, kinds, stride = part
+        vec = product(kinds, [key // w % d for _, d, w in radix])
+        prod = table[key] = share(tuple((j * stride, v) for j, v in vec.items()))
+        return prod
 
     def column_fn(n, i, lab, code):
-        recipe = recipes.get((n, i, lab))
-        if recipe is None:
-            recipe = recipes[(n, i, lab)] = compile_recipe(n, i, lab)
-        blocks, multis = recipe
+        blocks, multis = recipes.get((n, i, lab)) or compile_recipe(n, i, lab)
         base = 0
         for ss, mod, ts in blocks:
             base += code // ss % mod * ts
         terms = ((base, one),)
-        for radix, table, kinds, stride in multis:
+        for part in multis:
             key = 0
-            for ss, d in radix:
-                key = key * d + code // ss % d
-            prod = table.get(key)
+            for ss, d, w in part[0]:
+                key += code // ss % d * w
+            prod = part[1].get(key)
             if prod is None:
-                vec = product(kinds, [code // ss % d for ss, d in radix])
-                prod = tuple((j * stride, v) for j, v in vec.items())
-                prod = table[key] = share(prod)
+                prod = fill(part, key)
             if not prod:
                 return {}
             terms = [(o + p, mul(c, v)) for o, c in terms for p, v in prod]
         return dict(terms)
 
-    return column_fn
+    def face_rows(n, i, lab):
+        blocks, multis = recipes.get((n, i, lab)) or compile_recipe(n, i, lab)
+        total = layouts[n].total
+        factors = []
+        for part in multis:
+            keys = _strided(part[0], total)
+            for key in set(keys).difference(part[1]):
+                fill(part, key)
+            factors.append(map(part[1].__getitem__, keys))
+        terms = factors[0] if factors else [((0, one),)] * total
+        for more in factors[1:]:    # tensor products, as (offset, scalar) pairs
+            terms = [[(o + p, mul(c, v)) for o, c in ts for p, v in prod]
+                     for ts, prod in zip(terms, more)]
+        rows = [{} for _ in range(layouts[n - 1].total)]
+        for x, offset, ts in zip(range(total), _strided(blocks, total), terms):
+            for p, v in ts:
+                rows[offset + p][x] = v
+        return rows
+
+    return column_fn, face_rows
 
 
 def _check_pair(a: Algebra, m: Bimodule) -> None:
@@ -254,9 +293,9 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
             return [((n, "a"), (0, "m"))] + alg[:-1]
         return [((0, "m"),)] + alg[: i - 1] + [((i, "a"), (i + 1, "a"))] + alg[i + 1 :]
 
-    column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
+    evaluators = _recipe_evaluators(field, layouts, slots_of, _basis_products(a, m))
     tag = f"classical({a.label or 'A'},{m.label or 'M'})"
-    return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
+    return LambdaSystem(field, max_degree, dims, labels, *evaluators, label=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +304,7 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
 
 
 def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
-    """Shared dims, fibers and columns for systems over a simplicial set.
+    """Shared dims, fibers and evaluators for systems over a simplicial set.
 
     Simplex ids double as slot indices: slot 0 holds the module factor at
     the basepoint and slot j holds the algebra factor of simplex j.  For
@@ -304,8 +343,8 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
             out.append(tuple((s, "m" if t == 0 and s == 0 else "a") for s in ordered))
         return out
 
-    column_fn = _recipe_column_fn(field, layouts, slots_of, _basis_products(a, m))
-    return dims, multis, column_fn
+    return dims, multis, _recipe_evaluators(field, layouts, slots_of,
+                                            _basis_products(a, m))
 
 
 def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
@@ -313,7 +352,7 @@ def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
     """The system over a pointed simplicial set with all fiber orderings,
     identity orderings first; their number is checked before they are
     enumerated."""
-    dims, multis, column_fn = _simplicial_engine(a, m, x)
+    dims, multis, evaluators = _simplicial_engine(a, m, x)
     labels = {}
     for (n, i), multi in multis.items():
         caps.check_index_size(
@@ -321,7 +360,7 @@ def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
         labels[(n, i)] = tuple(itertools.product(
             *(itertools.permutations(range(len(fib))) for _, fib in multi)))
     tag = f"simplicial({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
-    return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
+    return LambdaSystem(a.field, x.max_level, dims, labels, *evaluators, label=tag)
 
 
 def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSystem:
@@ -336,11 +375,11 @@ def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSyste
         raise ValidationError("commutative chain needs a commutative algebra")
     if not rep["bimodule_symmetric"]:
         raise ValidationError("commutative chain needs a symmetric bimodule")
-    dims, multis, column_fn = _simplicial_engine(a, m, x)
+    dims, multis, evaluators = _simplicial_engine(a, m, x)
     labels = {key: (tuple(tuple(range(len(fib))) for _, fib in multi),)
               for key, multi in multis.items()}
     tag = f"commutative({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
-    return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
+    return LambdaSystem(a.field, x.max_level, dims, labels, *evaluators, label=tag)
 
 
 def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
@@ -445,10 +484,10 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
                     pairs.append((db(pp, qq),))
         return diag + pairs
 
-    column_fn = _recipe_column_fn(field, layouts, slots_of,
-                                  _basis_products(a, b=b, eps=eps))
+    evaluators = _recipe_evaluators(field, layouts, slots_of,
+                                    _basis_products(a, b=b, eps=eps))
     tag = f"paired({a.label or 'A'},{b.label or 'B'})"
-    return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
+    return LambdaSystem(field, max_degree, dims, labels, *evaluators, label=tag)
 
 
 # ---------------------------------------------------------------------------

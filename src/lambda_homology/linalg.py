@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
-#: the one zero column that ``Matrix.from_columns`` stores; never mutated
+#: the one zero column that ``Matrix.column`` returns; never mutated
 _NO_ENTRIES: dict = {}
 
 
@@ -77,17 +77,14 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, nrows: int, cols: Sequence[dict]) -> "Matrix":
-        """Build from sparse columns.  The caller hands the column dicts
-        over: they are kept as the matrix's columns, not copied, and must
-        not be changed afterwards.  Zero columns all become one shared
-        empty dict, since face matrices have many of them."""
+        """Build from sparse columns.  Only the rows are kept: the column
+        dicts are read, not adopted, and ``column`` rebuilds the columns
+        from the rows on its first call."""
         rows = [dict() for _ in range(nrows)]
         for c, col in enumerate(cols):
             for r, v in col.items():
                 rows[r][c] = v
-        m = cls(field, nrows, len(cols), rows)
-        m._cols = [col if col else _NO_ENTRIES for col in cols]
-        return m
+        return cls(field, nrows, len(cols), rows)
 
     @classmethod
     def from_dense(cls, field, data: Sequence[Sequence]) -> "Matrix":
@@ -103,12 +100,11 @@ class Matrix:
     # ------------------------------------------------------------- queries
 
     def column(self, c: int) -> dict:
+        """Column c, read-only; all columns are built on the first call,
+        and the zero ones are the one shared ``_NO_ENTRIES``."""
         if self._cols is None:
-            cols = [dict() for _ in range(self.ncols)]
-            for r, row in enumerate(self.rows):
-                for k, v in row.items():
-                    cols[k][r] = v
-            self._cols = cols
+            cols = self.transpose().rows
+            self._cols = [col or _NO_ENTRIES for col in cols]
         return self._cols[c]
 
     def nnz(self) -> int:

@@ -17,9 +17,10 @@ stacked linear system per degree:
 ``compute_theta`` and ``maximality_probe``; the probe reads the first block
 each excluded unit vector breaks off the column supports of the blocks.
 
-Boundary images and ranks are computed once, in ambient coordinates since
-subcomplex bases can be large; induced maps on homology are ranks computed
-from those cached images and ranks (see ``induced_theta_map``).
+Face matrices are built whole and kept by rows.  ``homology`` takes each
+boundary rank on theta coordinates and forms no ambient image; the ambient
+images of a basis under the boundary are computed only when an induced map
+asks for them (``boundary_image_rows``), and kept for the next one.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ class LambdaSystem:
 
     ``labels[(n, i)]`` lists the candidates at position i in degree n, the
     first one being the reference; ``column_fn(n, i, lab, x)`` returns the
-    image of the x-th basis vector under that candidate as a sparse vector.
-    Reference face matrices are cached; non-reference candidates are
-    materialized on demand and dropped, since their number can be factorial.
+    image of the x-th basis vector under that candidate as a sparse vector,
+    and ``face_rows(n, i, lab)`` the rows of the whole candidate, fresh for
+    the caller.  Reference face matrices are cached; non-reference
+    candidates are materialized on demand and dropped, since their number
+    can be factorial.
     """
 
     def __init__(self, field, max_degree: int, dims, labels: dict,
-                 column_fn, label: str = ""):
+                 column_fn, face_rows, label: str = ""):
         if max_degree < 0:
             raise ValidationError("max_degree must be nonnegative", max_degree=max_degree)
         dims = tuple(int(d) for d in dims)
@@ -88,6 +91,7 @@ class LambdaSystem:
         self.dims = dims
         self.labels = labels
         self.column_fn = column_fn
+        self.face_rows = face_rows
         self.label = label
         self._ref_cache: dict = {}
 
@@ -112,8 +116,8 @@ class LambdaSystem:
         return self._build_face(n, i, lab)
 
     def _build_face(self, n: int, i: int, lab) -> Matrix:
-        cols = [self.column_fn(n, i, lab, x) for x in range(self.dims[n])]
-        return Matrix.from_columns(self.field, self.dims[n - 1], cols)
+        rows = self.face_rows(n, i, lab)
+        return Matrix(self.field, self.dims[n - 1], self.dims[n], rows)
 
     def apply_face(self, n: int, i: int, lab, vec: dict) -> dict:
         """Image of a vector without materializing a matrix."""
@@ -195,7 +199,11 @@ def trivial_system(field, dims, face_matrices: dict, label: str = "") -> LambdaS
     def column_fn(n, i, lab, x):
         return dict(face_matrices[(n, i)].column(x))
 
-    sys = LambdaSystem(field, len(dims) - 1, dims, labels, column_fn, label=label)
+    def face_rows(n, i, lab):
+        return [dict(r) for r in face_matrices[(n, i)].rows]
+
+    sys = LambdaSystem(field, len(dims) - 1, dims, labels, column_fn, face_rows,
+                       label=label)
     for (n, i), m in face_matrices.items():
         sys._ref_cache[(n, i)] = m
     return sys
@@ -222,21 +230,13 @@ def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace):
         labs = system.labels_at(n, i)
         if len(labs) == 1:
             continue
-        refmat = system.face_matrix(n, i)
+        ref_rows = system.face_matrix(n, i).rows
         for lab in labs[1:]:
-            by_target: dict[int, dict] = {}
-            for x in range(system.dims[n]):
-                cand = system.column_fn(n, i, lab, x)
-                base = refmat.column(x)
-                if cand == base:
-                    continue
-                diff = dict(cand)
-                f.axpy_row(diff, base, minus_one)
-                for r, v in diff.items():
-                    by_target.setdefault(r, {})[x] = v
+            rows = system.face_matrix(n, i, lab).rows
+            for row, ref in zip(rows, ref_rows):
+                f.axpy_row(row, ref, minus_one)
             yield ({"condition": "agreement", "position": i,
-                    "candidate": label_json(lab)},
-                   [by_target[r] for r in sorted(by_target)])
+                    "candidate": label_json(lab)}, [r for r in rows if r])
     if not lower.is_full:
         proj = lower.complement_projector()
         for i in range(n + 1):
@@ -297,18 +297,21 @@ class ThetaComplex:
     def dims(self) -> list[int]:
         return [s.dim for s in self.subspaces]
 
-    def boundary_image_rows(self, n: int, boundary: Matrix | None = None) -> list[dict]:
+    def boundary_image_rows(self, n: int) -> list[dict]:
         """Ambient images of the basis under the boundary, one per basis row.
 
         All face candidates agree on the subcomplex, so the reference faces
         compute the restricted boundary without choosing coordinates.  The
-        ambient boundary is built here unless the caller passes it; its
-        transpose, which applies it to every row at once, is not kept.
+        images serve the induced maps: they are computed on the first call
+        and kept; ``homology`` never asks.  Only the boundary's transpose is
+        held while the basis is multiplied, and a full basis (the identity)
+        is not multiplied at all.
         """
         cached = self._image_rows_cache.get(n)
         if cached is None:
-            bnd = self.system.boundary_matrix(n) if boundary is None else boundary
-            cached = self.subspaces[n].basis.mul(bnd.transpose()).rows
+            columns = self.system.boundary_matrix(n).transpose()
+            sub = self.subspaces[n]
+            cached = (columns if sub.is_full else sub.basis.mul(columns)).rows
             self._image_rows_cache[n] = cached
         return cached
 
@@ -357,21 +360,21 @@ class ThetaComplex:
 
         Each rank is taken on theta_{n-1} coordinates.  This needs the
         subspaces closed under the boundary, as ``compute_theta``'s closure
-        rows make them: then every image row lies in theta_{n-1}, where its
-        entries at the basis pivots fix it, so the other entries are dropped
-        before the rank.  The matrix keeps the ambient column count.
+        rows make them: then every image lies in theta_{n-1}, where its
+        entries at the basis pivots fix it, so the rank is that of the basis
+        times the boundary's rows at those pivots, transposed.  No ambient
+        image is formed; the matrix keeps the ambient column count.
         """
         f = self.system.field
         n_max = self.max_degree
         if self._ranks is None:
             ranks = [0] * (n_max + 2)
             for n, bnd in self._boundaries():
-                rows = self.boundary_image_rows(n, bnd)
-                lower = self.subspaces[n - 1]
-                if not lower.is_full:
-                    keep = set(lower.pivots)
-                    rows = [{c: v for c, v in r.items() if c in keep} for r in rows]
-                ranks[n] = rank(Matrix(f, len(rows), self.system.dims[n - 1], rows))
+                keep = set(self.subspaces[n - 1].pivots)
+                picked = [r if p in keep else {} for p, r in enumerate(bnd.rows)]
+                at_pivots = Matrix(f, bnd.nrows, bnd.ncols, picked).transpose()
+                rows = self.subspaces[n].basis.mul(at_pivots).rows
+                ranks[n] = rank(Matrix(f, len(rows), bnd.nrows, rows))
             self._ranks = ranks
         ranks = self._ranks
         entries = []
@@ -578,8 +581,8 @@ def homology_quotients(theta: ThetaComplex, up_to: int) -> list[list[dict]]:
     """Cycle rows of degrees 0..up_to (inclusive), in ambient coordinates.
 
     Degree 0 is the whole basis.  Above it the cycles are the kernel of the
-    cached boundary images on the basis coefficients, mapped back onto the
-    basis once; no boundary is rebuilt.
+    boundary images (``boundary_image_rows``) on the basis coefficients,
+    mapped back onto the basis once.
     """
     f = theta.system.field
     out = [list(theta.subspaces[0].basis.rows)]

@@ -28,10 +28,12 @@ from lambda_homology.algebras import (
 from lambda_homology.constructions import (
     higher_hochschild_system,
     hochschild_system,
+    loday_chain,
     secondary_system,
     sphere2_system,
 )
 from lambda_homology.fields import RATIONALS, PrimeField
+from lambda_homology.linalg import Matrix
 from lambda_homology.simplicial import circle
 from lambda_homology.systems import label_json
 
@@ -195,3 +197,46 @@ def test_returned_columns_are_owned_by_the_caller(construction):
         assert system.face_matrix(n, i) is ref
         assert ref.to_entries() == entries
         assert [ref.column(x) for x in range(system.dims[n])] == cols
+
+
+def build_extra(field_name, construction, two_level):
+    """The simplicial system on a truncated circle and on ``two_level``,
+    whose degree-1 faces send no simplex to the extra vertex (an empty
+    product: the unit), on the twisted basis; and the commutative chain,
+    which needs a commutative algebra: k[x]/(x^3)."""
+    field = FIELDS[field_name]
+    if construction == "loday":
+        a = algebra_from_json({"builtin": "truncated_polynomial", "order": 3}, field=field)
+        return loday_chain(a, Bimodule.regular(a), circle(3))
+    a = algebra_from_json(TWISTED, field=field)
+    x = two_level if construction == "two_level" else circle(4).truncate(2)
+    return higher_hochschild_system(a, Bimodule.regular(a), x)
+
+
+EXTRA = ("twisted/truncated_circle", "twisted/two_level", "truncated_polynomial/loday")
+EVALUATOR_CASES = sorted(GOLDEN) + [f"{f}/{c}" for f in FIELDS for c in EXTRA]
+
+
+@pytest.mark.parametrize("case", EVALUATOR_CASES)
+def test_whole_face_rows_equal_the_columns(case, two_level):
+    """``face_rows`` builds every candidate face in one pass; its rows hold
+    exactly the columns that ``column_fn`` builds one basis code at a time.
+    On the twisted basis some products have several terms and some faces
+    have zero columns, and the test requires both to occur."""
+    field_name, kind, construction = case.split("/")
+    if construction in ("truncated_circle", "two_level", "loday"):
+        system = build_extra(field_name, construction, two_level)
+    else:
+        system = build(field_name, kind, construction)
+    zero = several = 0
+    for (n, i), labs in sorted(system.labels.items()):
+        for lab in labs:
+            cols = [system.column_fn(n, i, lab, x) for x in range(system.dims[n])]
+            rows = system.face_rows(n, i, lab)
+            assert len(rows) == system.dims[n - 1]
+            face = Matrix(system.field, len(rows), len(cols), rows)
+            assert face.transpose().rows == cols
+            zero += sum(not c for c in cols)
+            several += sum(len(c) > 1 for c in cols)
+    if kind == "twisted":
+        assert zero and several

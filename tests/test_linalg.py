@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
+    _NO_ENTRIES,
     Matrix,
     Subspace,
     _rref_dense_fp_numpy,
@@ -59,6 +60,17 @@ def test_matrix_constructors_agree():
     assert a.to_dense() == [[0, 2], [-1, 0]]
     assert Matrix.identity(Q, 3).to_dense() == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_from_columns_keeps_rows_only():
+    """The column dicts are read, not kept: changing one afterwards leaves
+    the matrix alone, and ``column`` rebuilds the columns from the rows."""
+    cols = [{0: 1}, {}, {0: 2, 1: 3}]
+    m = Matrix.from_columns(Q, 2, cols)
+    assert m._cols is None and m.rows == [{0: 1, 2: 2}, {2: 3}]
+    cols[0][1] = 5
+    assert [m.column(c) for c in range(3)] == [{0: 1}, {}, {0: 2, 1: 3}]
+    assert m.column(1) is _NO_ENTRIES
 
 
 def test_known_kernel():

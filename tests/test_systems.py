@@ -1,5 +1,7 @@
 """The maximal-subcomplex computation against hand cases and the sweep oracle."""
 
+import tracemalloc
+
 import pytest
 
 from lambda_homology.algebras import Bimodule, group_algebra, symmetric_group_table
@@ -13,7 +15,7 @@ from lambda_homology.errors import InternalCheckError, ResourceCapError, Validat
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix, Subspace, rank
 from lambda_homology.simplicial import circle
-from lambda_homology import systems
+from lambda_homology import linalg, systems
 from lambda_homology.systems import (
     LambdaMorphism,
     LambdaSystem,
@@ -58,7 +60,10 @@ def toy_system():
     def column_fn(n, i, lab, x):
         return dict(mats[(n, i)][lab].column(x))
 
-    return LambdaSystem(Q, 2, (1, 2, 2), labels, column_fn, label="toy")
+    def face_rows(n, i, lab):    # copies: agreement rows are formed in place
+        return [dict(r) for r in mats[(n, i)][lab].rows]
+
+    return LambdaSystem(Q, 2, (1, 2, 2), labels, column_fn, face_rows, label="toy")
 
 
 def test_toy_theta_matches_hand_computation():
@@ -294,6 +299,37 @@ def test_dihedral_group_ranks_on_circle(perm):
     assert [e["betti"] for e in entries] == [8, 0, 7]
 
 
+def test_s3_homology_heap_peak():
+    """S3 on circle(3) over F_2147483629: faces kept by rows only and ranks
+    on theta coordinates keep the traced heap of compute_theta and homology
+    below 3.5 MB (4.57 MB with per-column face dicts and ambient image rows
+    cached in homology)."""
+    a = group_algebra(PrimeField(2147483629), symmetric_group_table(3))
+    sys_ = higher_hochschild_system(a, Bimodule.regular(a), circle(3))
+    tracemalloc.start()
+    try:
+        report = compute_theta(sys_).homology()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e["betti"] for e in report["entries"]] == [6, 0, 7]
+    assert peak < 3.5e6
+
+
+def test_built_faces_keep_rows_until_a_column_is_asked(upper):
+    """A built face holds rows only; ``column`` builds every column on its
+    first call, equal to the transpose, with each zero column the shared
+    ``_NO_ENTRIES``."""
+    sys_ = hochschild_system(upper, Bimodule.regular(upper), 2)
+    for n, i in ((1, 0), (2, 1), (2, 2)):
+        face = sys_._build_face(n, i, sys_.reference_label(n, i))
+        assert face._cols is None
+        cols = [face.column(x) for x in range(face.ncols)]
+        assert cols == face.transpose().rows
+        zeros = [c for c in cols if not c]
+        assert zeros and all(c is linalg._NO_ENTRIES for c in zeros)
+
+
 def test_homology_quotients_classify_cycles(dual):
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(3))
     theta = compute_theta(sys_)
@@ -384,7 +420,10 @@ def _line_system(d0_candidates):
     def column_fn(n, i, lab, x):
         return dict(mats[(n, i)][lab].column(x))
 
-    return LambdaSystem(Q, 1, (1, 2), labels, column_fn)
+    def face_rows(n, i, lab):    # copies: agreement rows are formed in place
+        return [dict(r) for r in mats[(n, i)][lab].rows]
+
+    return LambdaSystem(Q, 1, (1, 2), labels, column_fn, face_rows)
 
 
 @pytest.mark.parametrize("broken, message", [
