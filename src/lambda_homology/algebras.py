@@ -184,13 +184,19 @@ class AlgebraMorphism:
         self.target = target
         self.matrix = matrix
         self.label = label
+        self._images = matrix.transpose().rows   # basis images, read-only
         self.unital = self.apply(source.unit) == target.unit
 
     def apply(self, vec: dict) -> dict:
-        return self.matrix.apply_to_vec(vec)
+        """The image of a vector: its coefficients times the basis images."""
+        f = self.target.field
+        out: dict = {}
+        for i, a in vec.items():
+            f.axpy_row(out, self._images[i], a)
+        return out
 
     def apply_basis(self, i: int) -> dict:
-        return self.matrix.column(i)
+        return self._images[i]
 
     def validate(self) -> list[dict]:
         """Check multiplicativity on basis pairs; unit status is a flag."""
@@ -587,7 +593,8 @@ def morphism_from_json(obj, source: Algebra, target: Algebra) -> AlgebraMorphism
             raise ValidationError(
                 "builtin 'unit' morphism needs a one-dimensional source spanned by 1"
             )
-        mat = Matrix.from_columns(field, target.dim, [dict(target.unit)])
+        mat = Matrix.from_entries(field, target.dim, 1,
+                                  ((r, 0, v) for r, v in target.unit.items()))
         return AlgebraMorphism(source, target, mat, label="unit")
     if builtin == "identity":
         if source.dim != target.dim:

@@ -637,15 +637,16 @@ def corner_chain_map(a: Algebra, m: Bimodule, corner_a: Matrix,
                      big_dims) -> list[Matrix]:
     """Degreewise corner embeddings M (x) A^n -> M_l(M) (x) M_l(A)^n."""
     field = a.field
+    cols_m, cols_a = corner_m.transpose().rows, corner_a.transpose().rows
     mats = []
     for n in range(max_degree + 1):
         tgt = TensorLayout((corner_m.nrows,) + (corner_a.nrows,) * n)
         if tgt.total != big_dims[n]:
             raise ValidationError("corner map shape mismatch", degree=n)
-        # the source codes, in TensorLayout's row-major order
-        cols = [tgt.expand(field, [corner_m.column(idx[0]), *map(corner_a.column, idx[1:])])
+        # the images of the source codes, in TensorLayout's row-major order
+        cols = [tgt.expand(field, [cols_m[idx[0]], *[cols_a[j] for j in idx[1:]]])
                 for idx in itertools.product(range(m.dim), *[range(a.dim)] * n)]
-        mats.append(Matrix.from_columns(field, big_dims[n], cols))
+        mats.append(Matrix(field, len(cols), big_dims[n], cols).transpose())
     return mats
 
 

@@ -1,9 +1,11 @@
 """Sparse exact linear algebra: matrices, echelon subspaces, kernels.
 
 Everything here is exact.  Matrices are stored row-major as dicts mapping
-column -> nonzero scalar.  Subspaces are stored via a basis in reduced
-row-echelon form with strictly increasing pivots, so two equal subspaces
-have syntactically identical bases and equality is a plain comparison.
+column -> nonzero scalar, and only so: a matrix M is applied to vectors
+held as the rows of V by the product V . M^T.  Subspaces are stored via a
+basis in reduced row-echelon form with strictly increasing pivots, so two
+equal subspaces have syntactically identical bases and equality is a plain
+comparison.
 
 ``rref`` runs one sparse engine, one loop over the rows, shortest row
 first.  For the reduced echelon form each row is reduced in one pass
@@ -28,14 +30,11 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
-#: the one zero column that ``Matrix.column`` returns; never mutated
-_NO_ENTRIES: dict = {}
-
 
 class Matrix:
     """An immutable-by-convention sparse matrix over an exact field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, nrows: int, ncols: int, rows: list[dict]):
         if len(rows) != nrows:
@@ -44,7 +43,6 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self._cols = None
 
     # ---------------------------------------------------------------- build
 
@@ -76,17 +74,6 @@ class Matrix:
         return cls(field, nrows, ncols, rows)
 
     @classmethod
-    def from_columns(cls, field, nrows: int, cols: Sequence[dict]) -> "Matrix":
-        """Build from sparse columns.  Only the rows are kept: the column
-        dicts are read, not adopted, and ``column`` rebuilds the columns
-        from the rows on its first call."""
-        rows = [dict() for _ in range(nrows)]
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                rows[r][c] = v
-        return cls(field, nrows, len(cols), rows)
-
-    @classmethod
     def from_dense(cls, field, data: Sequence[Sequence]) -> "Matrix":
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
@@ -98,14 +85,6 @@ class Matrix:
         return cls(field, nrows, ncols, rows)
 
     # ------------------------------------------------------------- queries
-
-    def column(self, c: int) -> dict:
-        """Column c, read-only; all columns are built on the first call,
-        and the zero ones are the one shared ``_NO_ENTRIES``."""
-        if self._cols is None:
-            cols = self.transpose().rows
-            self._cols = [col or _NO_ENTRIES for col in cols]
-        return self._cols[c]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -149,16 +128,6 @@ class Matrix:
                     f.axpy_row(acc, src, a)
             rows.append(acc)
         return Matrix(f, self.nrows, other.ncols, rows)
-
-    def apply_to_vec(self, vec: dict) -> dict:
-        """Apply to a sparse column vector, one column per nonzero entry."""
-        f = self.field
-        out: dict = {}
-        for c, a in vec.items():
-            col = self.column(c)
-            if col:
-                f.axpy_row(out, col, a)
-        return out
 
     def transpose(self) -> "Matrix":
         rows = [dict() for _ in range(self.ncols)]

@@ -17,15 +17,19 @@ stacked linear system per degree:
 ``compute_theta`` and ``maximality_probe``; the probe reads the first block
 each excluded unit vector breaks off the column supports of the blocks.
 
-Face matrices are built whole and kept by rows.  ``homology`` takes each
-boundary rank on theta coordinates and forms no ambient image; the ambient
-images of a basis under the boundary are computed only when an induced map
-asks for them (``boundary_image_rows``), and kept for the next one.
+Face matrices are built whole and kept by rows, and every built matrix is
+applied to a stack of vectors by one product with their rows; only
+``apply_face`` evaluates a face column by column (``column_fn``), for
+vectors of ambients too large to build.  ``homology`` takes each boundary
+rank on theta coordinates and forms no ambient image; the ambient images
+of a basis under the boundary are computed only when an induced map asks
+for them (``boundary_image_rows``), and kept for the next one.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from operator import ne
 
 from .config import DEFAULT_CAPS
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -120,10 +124,8 @@ class LambdaSystem:
         return Matrix(self.field, self.dims[n - 1], self.dims[n], rows)
 
     def apply_face(self, n: int, i: int, lab, vec: dict) -> dict:
-        """Image of a vector without materializing a matrix."""
-        m = self._ref_cache.get((n, i))
-        if m is not None and lab == self.reference_label(n, i):
-            return m.apply_to_vec(vec)
+        """Image of a vector, one ``column_fn`` call per nonzero entry; no
+        matrix is built or read, even a cached one."""
         f = self.field
         out: dict = {}
         for x, a in vec.items():
@@ -196,8 +198,8 @@ def trivial_system(field, dims, face_matrices: dict, label: str = "") -> LambdaS
                 )
             labels[(n, i)] = (0,)
 
-    def column_fn(n, i, lab, x):
-        return dict(face_matrices[(n, i)].column(x))
+    def column_fn(n, i, lab, x):    # hand-sized faces: a transpose per call
+        return face_matrices[(n, i)].transpose().rows[x]
 
     def face_rows(n, i, lab):
         return [dict(r) for r in face_matrices[(n, i)].rows]
@@ -333,8 +335,8 @@ class ThetaComplex:
         from its ambient boundary ``upper`` and the one below, ``lower``, or
         in every degree when called without arguments.
 
-        A zero product certifies the degree; otherwise the product is
-        applied to each basis row and the first one not killed is reported.
+        A zero product certifies the degree; otherwise the first nonzero
+        row of basis . square^T names the basis row it does not kill.
         """
         if n is None:
             for _ in self._boundaries():
@@ -343,12 +345,8 @@ class ThetaComplex:
         square = lower.mul(upper)
         if square.is_zero():
             return
-        for idx, row in enumerate(self.subspaces[n].basis.rows):
-            if square.apply_to_vec(row):
-                raise InternalCheckError(
-                    "boundary does not square to zero",
-                    degree=n, basis_index=idx,
-                )
+        _fail_at_first(_images(square, self.subspaces[n].basis.rows),
+                       "boundary does not square to zero", n)
 
     def homology(self) -> dict:
         """Per-degree dims, boundary ranks, and betti numbers.
@@ -524,9 +522,6 @@ class LambdaMorphism:
         mats = [Matrix.identity(source.field, source.dims[n]) for n in range(depth + 1)]
         return cls(source, target, mats, label=label)
 
-    def apply(self, n: int, vec: dict) -> dict:
-        return self.matrices[n].apply_to_vec(vec)
-
     def compose(self, earlier: "LambdaMorphism", label: str = "") -> "LambdaMorphism":
         """self after earlier (earlier's target must be self's source)."""
         if earlier.target is not self.source and earlier.target.dims != self.source.dims:
@@ -595,15 +590,30 @@ def homology_quotients(theta: ThetaComplex, up_to: int) -> list[list[dict]]:
     return out
 
 
+def _images(m: Matrix, rows: list[dict]) -> list[dict]:
+    """The images under m of the vectors held as rows V: the rows of V . m^T."""
+    return Matrix(m.field, len(rows), m.ncols, rows).mul(m.transpose()).rows
+
+
+def _fail_at_first(failed, message: str, degree: int) -> None:
+    """Raise naming the degree and the index of the first true flag."""
+    idx = next((idx for idx, bad in enumerate(failed) if bad), None)
+    if idx is not None:
+        raise InternalCheckError(message, degree=degree, basis_index=idx)
+
+
 def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
                       theta_tgt: ThetaComplex) -> dict:
     """Restrict a certified morphism to the subcomplexes and to homology.
 
-    Verifies degreewise that the source subcomplex maps into the target one
-    and that the map commutes with the boundaries (vector-wise, in ambient
-    coordinates).  Escape of the image signals a broken certificate and
-    raises.  The image of H_n is (f(Z_src) + B_tgt) / B_tgt, so its rank is
-    the rank of the source cycles' images stacked on the target's boundary
+    Verifies degree by degree, lowest first, by row products in ambient
+    coordinates: the rows of B_n . F_n^T (B_n the source basis, F_n the
+    map) lie in the target subcomplex, and the rows of S_n . F_{n-1}^T
+    (S_n the source's boundary images) equal those of (B_n . F_n^T) . d_n^T
+    (d_n the target's boundary).  A failure names the degree and the first
+    basis row; an escape signals a broken certificate.  The image of H_n is
+    (f(Z_src) + B_tgt) / B_tgt, so its rank is the rank of the rows of
+    Z_n . F_n^T (Z_n the source cycles) stacked on the target's boundary
     image rows, minus the target's rank of d_{n+1}.
     """
     depth = min(mor.max_degree, theta_src.max_degree, theta_tgt.max_degree)
@@ -611,24 +621,16 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
     table_src = theta_src.homology()["entries"]
     table_tgt = theta_tgt.homology()["entries"]
     for n in range(depth + 1):
+        img = _images(mor.matrices[n], theta_src.subspaces[n].basis.rows)
         tgt = theta_tgt.subspaces[n]
-        for idx, row in enumerate(theta_src.subspaces[n].basis.rows):
-            img = mor.apply(n, row)
-            if not tgt.contains(img):
-                raise InternalCheckError(
-                    "morphism image escapes the target subcomplex",
-                    degree=n, basis_index=idx,
-                )
-    for n in range(1, depth + 1):
-        src_images = theta_src.boundary_image_rows(n)
-        for idx, row in enumerate(theta_src.subspaces[n].basis.rows):
-            via_src = mor.apply(n - 1, src_images[idx])
-            via_tgt = theta_tgt.system.apply_boundary(n, mor.apply(n, row))
-            if via_src != via_tgt:
-                raise InternalCheckError(
-                    "morphism does not commute with the boundary",
-                    degree=n, basis_index=idx,
-                )
+        _fail_at_first((not tgt.contains(v) for v in img),
+                       "morphism image escapes the target subcomplex", n)
+        if n:
+            via_src = _images(mor.matrices[n - 1], theta_src.boundary_image_rows(n))
+            via_tgt = _images(theta_tgt.system.boundary_matrix(n), img)
+            _fail_at_first(map(ne, via_src, via_tgt),
+                           "morphism does not commute with the boundary", n)
+    img = via_src = via_tgt = None     # not held through the ranks
     valid = depth - 1
     report = {
         "max_degree": depth,
@@ -638,7 +640,7 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
     if valid >= 0:
         cycles = homology_quotients(theta_src, valid)
         for n in range(valid + 1):
-            rows = [mor.apply(n, z) for z in cycles[n]]
+            rows = _images(mor.matrices[n], cycles[n])
             rows.extend(theta_tgt.boundary_image_rows(n + 1))
             stacked = Matrix(f, len(rows), theta_tgt.system.dims[n], rows)
             r = rank(stacked) - table_tgt[n]["rank_d_n_plus_1"]

@@ -119,6 +119,29 @@ def matmul_dense(a, b):
              for cb in bt] for ra in a]
 
 
+def columns(m):
+    """The columns of a matrix held by rows (``m.rows``, ``m.ncols``): the
+    rows of its transpose, as fresh sparse dicts."""
+    cols = [{} for _ in range(m.ncols)]
+    for r, row in enumerate(m.rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
+def matvec_sparse(m, vec, p=None):
+    """A matrix held by rows times a sparse column vector, as a sparse dict
+    without zeros; the entries are reduced mod p when p is given."""
+    out = {}
+    for r, row in enumerate(m.rows):
+        acc = sum((v * vec[c] for c, v in row.items() if c in vec), 0)
+        if p is not None:
+            acc %= p
+        if acc:
+            out[r] = acc
+    return out
+
+
 def member_dense(basis, vec) -> bool:
     """Is vec in the span of the basis rows?"""
     if not basis:

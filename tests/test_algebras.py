@@ -1,5 +1,7 @@
 """Structure-constant algebras, bimodules, morphisms, and their validators."""
 
+from fractions import Fraction
+
 import pytest
 
 from lambda_homology.algebras import (
@@ -30,7 +32,8 @@ from lambda_homology.errors import ValidationError
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix
 
-from conftest import dense_table_of
+from conftest import dense_matrix, dense_table_of, dense_vec
+from oracles import columns, matvec_dense
 
 
 def test_builders_validate_clean(q, ground, dual, upper, m2, s3):
@@ -134,7 +137,7 @@ def test_matrix_bimodule_corner(q, dual):
     assert isinstance(corner, Matrix)
     assert corner.nrows == 8 and corner.ncols == 2
     # corner embedding lands in the (0, 0) block
-    assert set(corner.column(0).keys()) <= {0, 1}
+    assert set(columns(corner)[0].keys()) <= {0, 1}
 
 
 def test_morphism_validation(q, ground, dual):
@@ -158,6 +161,45 @@ def test_identity_morphism_builtin(q, dual, upper, spec):
         [0, 0, 0, "1"], [1, 0, 1, "1"], [2, 1, 1, "1"], [2, 2, 2, "1"]]})
     with pytest.raises(ValidationError, match="not multiplicative"):
         morphism_from_json(spec, upper, swapped)
+
+
+def _morphisms(field):
+    """The corner embedding, the ``unit`` and ``identity`` builtins, and a
+    JSON morphism of k[x]/(x^2) that sends x to 0 (a zero column)."""
+    ground = ground_field_algebra(field)
+    dual = truncated_polynomial_algebra(field, 2)
+    big, corner = matrix_algebra(dual, 2)
+    kill_x = morphism_from_json({"matrix": [[0, 0, "1"]]}, dual, dual)
+    assert columns(kill_x.matrix)[1] == {}
+    return {
+        "corner": corner,
+        "unit": morphism_from_json("unit", ground, big),
+        "identity": morphism_from_json("identity", big, big),
+        "kill_x": kill_x,
+    }
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(7)], ids=["Q", "F7"])
+def test_morphism_apply_is_the_matrix_product(field):
+    """``apply`` and ``apply_basis`` agree with the dense matrix-vector
+    product, and the ``unital`` flag is the recorded one."""
+    p = getattr(field, "p", None)
+
+    def product(mor, vec):
+        out = matvec_dense(dense_matrix(mor.matrix), dense_vec(vec, mor.source.dim))
+        return out if p is None else [Fraction(int(x) % p) for x in out]
+
+    unital = {"corner": False, "unit": True, "identity": True, "kill_x": True}
+    for name, mor in _morphisms(field).items():
+        assert mor.unital is unital[name], name
+        d, t = mor.source.dim, mor.target.dim
+        for i in range(d):
+            basis = {i: field.one}
+            assert dense_vec(mor.apply_basis(i), t) == product(mor, basis)
+            assert mor.apply(basis) == mor.apply_basis(i)
+        vec = {i: field.from_int(i + 2) for i in range(d)}
+        assert dense_vec(mor.apply(vec), t) == product(mor, vec)
+        assert mor.apply({}) == {}
 
 
 def test_morphism_builtins_reject_unknown_names(ground, dual):

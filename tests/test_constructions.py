@@ -1,5 +1,7 @@
 """Concrete chain systems: classical, simplicial, paired, and the reports."""
 
+import tracemalloc
+
 import pytest
 
 from lambda_homology.algebras import (
@@ -9,6 +11,7 @@ from lambda_homology.algebras import (
     matrix_algebra,
     matrix_bimodule,
     morphism_from_json,
+    truncated_polynomial_algebra,
 )
 from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import (
@@ -317,6 +320,22 @@ def test_morita_report_dual_numbers(dual):
     assert rep["tables_agree"] is False
     assert rep["composite_induces_isomorphism"]
     assert rep["composition_matches_corner_to_classical"]
+
+
+def test_morita_report_heap_peak():
+    """k[x]/(x^2) at matrix size 2 and depth 2 over Q: induced maps applied
+    by row products, with no column views of built matrices, keep the
+    traced heap of morita_report below 1.45 MB (1.52 MB when the reference
+    faces of the matrix-level targets kept their columns)."""
+    a = truncated_polynomial_algebra(Q, 2)
+    tracemalloc.start()
+    try:
+        rep = morita_report(a, Bimodule.regular(a), 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["composite_induces_isomorphism"]
+    assert peak < 1.45e6
 
 
 def test_morita_needs_commutative(upper):

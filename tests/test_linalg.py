@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
-    _NO_ENTRIES,
     Matrix,
     Subspace,
     _rref_dense_fp_numpy,
@@ -21,8 +20,10 @@ from lambda_homology.linalg import (
 )
 
 from oracles import (
+    columns,
     kernel_dense,
     matvec_dense,
+    matvec_sparse,
     member_dense,
     rank_dense,
     rank_dense_mod,
@@ -63,14 +64,17 @@ def test_matrix_constructors_agree():
 
 
 def test_from_columns_keeps_rows_only():
-    """The column dicts are read, not kept: changing one afterwards leaves
-    the matrix alone, and ``column`` rebuilds the columns from the rows."""
+    """A matrix built from column dicts (the transpose of the matrix whose
+    rows they are) holds its rows and nothing else: no column view is kept
+    beside them, and changing a column dict afterwards leaves it alone."""
+    assert Matrix.__slots__ == ("field", "nrows", "ncols", "rows")
     cols = [{0: 1}, {}, {0: 2, 1: 3}]
-    m = Matrix.from_columns(Q, 2, cols)
-    assert m._cols is None and m.rows == [{0: 1, 2: 2}, {2: 3}]
+    m = Matrix(Q, 3, 2, cols).transpose()
+    assert not hasattr(m, "__dict__") and not hasattr(m, "column")
+    assert m.rows == [{0: 1, 2: 2}, {2: 3}]
     cols[0][1] = 5
-    assert [m.column(c) for c in range(3)] == [{0: 1}, {}, {0: 2, 1: 3}]
-    assert m.column(1) is _NO_ENTRIES
+    assert m.rows == [{0: 1, 2: 2}, {2: 3}]
+    assert columns(m) == [{0: 1}, {}, {0: 2, 1: 3}]
 
 
 def test_known_kernel():
@@ -113,9 +117,9 @@ def test_complement_projector_kills_exactly_the_subspace():
     u = Subspace.from_vectors(Q, 3, [vec_sparse(Q, [1, 2, 0])])
     p = u.complement_projector()
     assert p.nrows == 2
-    assert p.apply_to_vec(vec_sparse(Q, [1, 2, 0])) == {}
-    assert p.apply_to_vec(vec_sparse(Q, [3, 6, 0])) == {}
-    assert p.apply_to_vec(vec_sparse(Q, [1, 0, 0])) != {}
+    assert matvec_sparse(p, vec_sparse(Q, [1, 2, 0])) == {}
+    assert matvec_sparse(p, vec_sparse(Q, [3, 6, 0])) == {}
+    assert matvec_sparse(p, vec_sparse(Q, [1, 0, 0])) != {}
 
 
 def test_kernel_raw_matches_canonical():
@@ -168,7 +172,7 @@ def test_kernel_matches_oracle(m):
     assert r == rank_dense(dense)
     assert ker.dim == m.ncols - r
     for row in ker.basis.rows:
-        assert m.apply_to_vec(row) == {}
+        assert matvec_sparse(m, row) == {}
     oracle = kernel_dense(dense, m.ncols)
     oracle_span = Subspace.from_vectors(
         Q, m.ncols, [vec_sparse(Q, v) for v in oracle])
@@ -448,15 +452,18 @@ def test_projector_characterizes_membership(nv):
     p = u.complement_projector()
     assert p.nrows == n - u.dim
     for v in vecs:
-        assert p.apply_to_vec(v) == {}
+        assert matvec_sparse(p, v) == {}
     probe = vec_sparse(Q, list(range(1, n + 1)))
-    assert (p.apply_to_vec(probe) == {}) == u.contains(probe)
+    assert (matvec_sparse(p, probe) == {}) == u.contains(probe)
 
 
 @given(q_matrix())
 def test_matvec_agrees_with_column_apply(m):
+    """The product (vec as a row) . m^T, which applies a built matrix to
+    vectors held as rows, is the dense matrix-vector product."""
     vec = {c: Fraction(c + 1) for c in range(m.ncols)}
-    assert vec_dense(m.apply_to_vec(vec), m.nrows) == matvec_dense(
+    [img] = Matrix(Q, 1, m.ncols, [vec]).mul(m.transpose()).rows
+    assert vec_dense(img, m.nrows) == matvec_dense(
         dense_of(m), vec_dense(vec, m.ncols))
     assert m.transpose().transpose() == m
 
@@ -500,7 +507,7 @@ def test_prime_field_rank_nullity(m):
     r, ker = rank_and_kernel(m)
     assert r + ker.dim == m.ncols
     for row in ker.basis.rows:
-        assert m.apply_to_vec(row) == {}
+        assert matvec_sparse(m, row, F7.p) == {}
     assert rank(m.transpose()) == r
 
 
@@ -508,8 +515,8 @@ def test_prime_field_rank_nullity(m):
 def test_prime_field_projector(m):
     img = Subspace.from_vectors(F7, m.nrows, m.transpose().rows)
     p = img.complement_projector()
-    for c in range(m.ncols):
-        assert p.apply_to_vec(m.column(c)) == {}
+    for col in columns(m):
+        assert matvec_sparse(p, col, F7.p) == {}
 
 
 def test_rational_vs_prime_rank_can_differ():

@@ -15,7 +15,7 @@ from lambda_homology.errors import InternalCheckError, ResourceCapError, Validat
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix, Subspace, rank
 from lambda_homology.simplicial import circle
-from lambda_homology import linalg, systems
+from lambda_homology import systems
 from lambda_homology.systems import (
     LambdaMorphism,
     LambdaSystem,
@@ -31,7 +31,10 @@ from lambda_homology.systems import (
 
 from conftest import dense_matrix, dense_span, dense_table_of, same_span
 from test_condition_golden import build as build_golden_case
-from oracles import chain_betti_dense, circle_candidates_dense, boundary_dense, tensor_dims, theta_sweep
+from oracles import (
+    boundary_dense, chain_betti_dense, circle_candidates_dense, columns, tensor_dims,
+    theta_sweep,
+)
 
 Q = Rationals()
 
@@ -58,7 +61,7 @@ def toy_system():
     labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
 
     def column_fn(n, i, lab, x):
-        return dict(mats[(n, i)][lab].column(x))
+        return columns(mats[(n, i)][lab])[x]
 
     def face_rows(n, i, lab):    # copies: agreement rows are formed in place
         return [dict(r) for r in mats[(n, i)][lab].rows]
@@ -317,17 +320,18 @@ def test_s3_homology_heap_peak():
 
 
 def test_built_faces_keep_rows_until_a_column_is_asked(upper):
-    """A built face holds rows only; ``column`` builds every column on its
-    first call, equal to the transpose, with each zero column the shared
-    ``_NO_ENTRIES``."""
+    """A built face holds rows only, with no column view; its columns, asked
+    for as the rows of its transpose, are the columns ``column_fn`` gives,
+    zero columns included."""
     sys_ = hochschild_system(upper, Bimodule.regular(upper), 2)
     for n, i in ((1, 0), (2, 1), (2, 2)):
-        face = sys_._build_face(n, i, sys_.reference_label(n, i))
-        assert face._cols is None
-        cols = [face.column(x) for x in range(face.ncols)]
-        assert cols == face.transpose().rows
-        zeros = [c for c in cols if not c]
-        assert zeros and all(c is linalg._NO_ENTRIES for c in zeros)
+        lab = sys_.reference_label(n, i)
+        face = sys_._build_face(n, i, lab)
+        assert not hasattr(face, "__dict__") and not hasattr(face, "column")
+        cols = face.transpose().rows
+        assert cols == columns(face)
+        assert cols == [sys_.column_fn(n, i, lab, x) for x in range(face.ncols)]
+        assert any(not c for c in cols)
 
 
 def test_homology_quotients_classify_cycles(dual):
@@ -418,7 +422,7 @@ def _line_system(d0_candidates):
     labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
 
     def column_fn(n, i, lab, x):
-        return dict(mats[(n, i)][lab].column(x))
+        return columns(mats[(n, i)][lab])[x]
 
     def face_rows(n, i, lab):    # copies: agreement rows are formed in place
         return [dict(r) for r in mats[(n, i)][lab].rows]
