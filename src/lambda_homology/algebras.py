@@ -3,6 +3,9 @@
 An algebra is a unital associative algebra given by structure constants on
 a chosen basis; a bimodule carries left and right action tensors over such
 an algebra.  Elements are sparse coordinate vectors (dict index -> scalar).
+Each of the three is a plain table of basis products, read by index, and
+one kernel (``_bilinear``) computes a product or an action from it; the
+regular bimodule's two action tables are its algebra's product table.
 Validation checks the axioms exhaustively on basis triples, which is the
 honest thing to do at these dimensions.
 
@@ -55,6 +58,19 @@ def _clean(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
 
 
+def _bilinear(field, table: list[list[dict]], x: dict, y: dict) -> dict:
+    """The sum of x_i y_j table[i][j]: a product, or an action, read off its
+    table of basis products."""
+    out: dict = {}
+    for i, a in x.items():
+        row = table[i]
+        for j, b in y.items():
+            prod = row[j]
+            if prod:
+                field.axpy_row(out, prod, field.mul(a, b))
+    return out
+
+
 class Algebra:
     """Unital associative algebra via basis products.
 
@@ -69,19 +85,8 @@ class Algebra:
         self.unit = _clean(unit)
         self.label = label
 
-    def pair(self, i: int, j: int) -> dict:
-        return self.pairs[i][j]
-
     def multiply(self, x: dict, y: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for i, a in x.items():
-            row = self.pairs[i]
-            for j, b in y.items():
-                prod = row[j]
-                if prod:
-                    f.axpy_row(out, prod, f.mul(a, b))
-        return out
+        return _bilinear(self.field, self.pairs, x, y)
 
     def is_commutative(self) -> bool:
         for i in range(self.dim):
@@ -89,9 +94,6 @@ class Algebra:
                 if self.pairs[i][j] != self.pairs[j][i]:
                     return False
         return True
-
-    def validate(self) -> list[dict]:
-        return validate_algebra(self)
 
     def __repr__(self):
         tag = self.label or "algebra"
@@ -111,33 +113,11 @@ class Bimodule:
         self.right = right
         self.label = label
 
-    def left_pair(self, a_i: int, m_j: int) -> dict:
-        return self.left[a_i][m_j]
-
-    def right_pair(self, m_j: int, a_i: int) -> dict:
-        return self.right[m_j][a_i]
-
     def act_left(self, avec: dict, mvec: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for i, a in avec.items():
-            row = self.left[i]
-            for j, m in mvec.items():
-                prod = row[j]
-                if prod:
-                    f.axpy_row(out, prod, f.mul(a, m))
-        return out
+        return _bilinear(self.field, self.left, avec, mvec)
 
     def act_right(self, mvec: dict, avec: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for j, m in mvec.items():
-            row = self.right[j]
-            for i, a in avec.items():
-                prod = row[i]
-                if prod:
-                    f.axpy_row(out, prod, f.mul(m, a))
-        return out
+        return _bilinear(self.field, self.right, mvec, avec)
 
     def is_symmetric(self) -> bool:
         """True when a.m == m.a on all basis pairs."""
@@ -149,13 +129,9 @@ class Bimodule:
 
     @classmethod
     def regular(cls, algebra: Algebra) -> "Bimodule":
-        pairs = algebra.pairs
-        left = [[pairs[i][j] for j in range(algebra.dim)] for i in range(algebra.dim)]
-        right = [[pairs[j][i] for i in range(algebra.dim)] for j in range(algebra.dim)]
-        return cls(algebra, algebra.dim, left, right, label=algebra.label or "regular")
-
-    def validate(self) -> list[dict]:
-        return validate_bimodule(self)
+        """A acting on itself: both action tables are its product table."""
+        return cls(algebra, algebra.dim, algebra.pairs, algebra.pairs,
+                   label=algebra.label or "regular")
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over {self.over!r})"
@@ -204,7 +180,7 @@ class AlgebraMorphism:
         for i in range(self.source.dim):
             fi = self.apply_basis(i)
             for j in range(self.source.dim):
-                lhs = self.apply(self.source.pair(i, j))
+                lhs = self.apply(self.source.pairs[i][j])
                 rhs = self.target.multiply(fi, self.apply_basis(j))
                 if lhs != rhs:
                     bad.append({"kind": "multiplicativity", "pair": [i, j]})
@@ -228,8 +204,8 @@ def validate_algebra(a: Algebra) -> list[dict]:
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                lhs = a.multiply(a.pair(i, j), {k: a.field.one})
-                rhs = a.multiply({i: a.field.one}, a.pair(j, k))
+                lhs = a.multiply(a.pairs[i][j], {k: a.field.one})
+                rhs = a.multiply({i: a.field.one}, a.pairs[j][k])
                 if lhs != rhs:
                     bad.append({"kind": "associativity", "triple": [i, j, k]})
     for i in range(d):
@@ -247,7 +223,7 @@ def validate_bimodule(m: Bimodule) -> list[dict]:
     one = m.field.one
     for i in range(a.dim):
         for j in range(a.dim):
-            ab = a.pair(i, j)
+            ab = a.pairs[i][j]
             for k in range(m.dim):
                 mk = {k: one}
                 # (ab)m = a(bm)
@@ -405,19 +381,19 @@ def cyclic_group_table(n: int) -> list[list[int]]:
 
 
 def _matrix_products(size: int, left_dim: int, right_dim: int, out_dim: int,
-                     pair) -> list[list[dict]]:
+                     inner: list[list[dict]]) -> list[list[dict]]:
     """Basis products of size x size matrices over a bilinear product.
 
     A matrix basis is ordered (row, col, factor index) lexicographically, so
     e_rc x_i has index ``(r * size + c) * dim + i``.  The product
-    (e_rc x_i)(e_cd y_j) is e_rd (x_i y_j) with x_i y_j = ``pair(i, j)``;
+    (e_rc x_i)(e_cd y_j) is e_rd (x_i y_j) with x_i y_j = ``inner[i][j]``;
     blocks whose inner indices differ multiply to zero.
     """
     table = [[{} for _ in range(size * size * right_dim)]
              for _ in range(size * size * left_dim)]
     for r, c, i, d, j in itertools.product(range(size), range(size), range(left_dim),
                                            range(size), range(right_dim)):
-        prod = pair(i, j)
+        prod = inner[i][j]
         if prod:
             base = (r * size + d) * out_dim
             table[(r * size + c) * left_dim + i][(c * size + d) * right_dim + j] = {
@@ -438,7 +414,7 @@ def matrix_algebra(a: Algebra, size: int) -> tuple[Algebra, AlgebraMorphism]:
         raise ValidationError("matrix size must be at least 1", size=size)
     f = a.field
     d = a.dim
-    pairs = _matrix_products(size, d, d, d, a.pair)
+    pairs = _matrix_products(size, d, d, d, a.pairs)
     unit = {(r * size + r) * d + k: v for r in range(size) for k, v in a.unit.items()}
     label = f"M{size}({a.label})" if a.label else f"M{size}"
     big = Algebra(f, size * size * d, pairs, unit, label=label)
@@ -461,8 +437,8 @@ def matrix_bimodule(big: Algebra, m: Bimodule, size: int) -> tuple[Bimodule, Mat
             algebra_dim=big.dim,
             expected=size * size * d,
         )
-    left = _matrix_products(size, d, dm, dm, m.left_pair)
-    right = _matrix_products(size, dm, d, dm, m.right_pair)
+    left = _matrix_products(size, d, dm, dm, m.left)
+    right = _matrix_products(size, dm, d, dm, m.right)
     label = f"M{size}({m.label})" if m.label else f"M{size}"
     bigmod = Bimodule(big, size * size * dm, left, right, label=label)
     corner = Matrix.from_entries(f, bigmod.dim, dm, [(k, k, f.one) for k in range(dm)])

@@ -303,6 +303,12 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
 # ---------------------------------------------------------------------------
 
 
+def _simplicial_layout(m: Bimodule, x: PointedSimplicialSet, n: int) -> TensorLayout:
+    """M (x) A^(X_n minus the basepoint): the module, then one algebra
+    factor per non-basepoint n-simplex."""
+    return TensorLayout((m.dim,) + (m.over.dim,) * (x.size(n) - 1))
+
+
 def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
     """Shared dims, fibers and evaluators for systems over a simplicial set.
 
@@ -318,26 +324,22 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
     if bad:
         raise ValidationError("simplicial set axioms fail", violations=bad[:5])
     max_degree = x.max_level
-    layouts = [
-        TensorLayout((m.dim,) + (a.dim,) * (x.size(n) - 1))
-        for n in range(max_degree + 1)
-    ]
+    layouts = [_simplicial_layout(m, x, n) for n in range(max_degree + 1)]
     dims = tuple(layouts[n].total for n in range(max_degree + 1))
 
     fibers = {}
     multis = {}
     for n in range(1, max_degree + 1):
         for i in range(n + 1):
-            part = x.fibers(n, i)
-            fibers[(n, i)] = part
-            multis[(n, i)] = part.multi_fibers()
+            part = fibers[(n, i)] = x.fibers(n, i)
+            multis[(n, i)] = [(t, c) for t, c in sorted(part.items()) if len(c) > 1]
 
     def slots_of(n, i, lab):
         part = fibers[(n, i)]
         perm_of = {t: p for (t, _), p in zip(multis[(n, i)], lab)}
         out = []
         for t in range(x.size(n - 1)):
-            fib = part.fiber_of(t)
+            fib = part.get(t, ())
             perm = perm_of.get(t)
             ordered = [fib[p] for p in perm] if perm else fib
             out.append(tuple((s, "m" if t == 0 and s == 0 else "a") for s in ordered))
@@ -421,6 +423,11 @@ def _pair_slot(n: int, p: int, q: int) -> int:
     return (n + 1) + p * (2 * n + 1 - p) // 2 + (q - p - 1)
 
 
+def _secondary_layout(a: Algebra, b: Algebra, n: int) -> TensorLayout:
+    """A^(n+1) (x) B^(n(n+1)/2): the diagonal, then the pairs above it."""
+    return TensorLayout((a.dim,) * (n + 1) + (b.dim,) * (n * (n + 1) // 2))
+
+
 def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
                      max_degree: int, caps=DEFAULT_CAPS) -> LambdaSystem:
     """Faces on A^(n+1) (x) B^(n(n+1)/2) connected by a morphism B -> A.
@@ -436,10 +443,7 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
     if eps.source is not b or eps.target is not a:
         raise ValidationError("morphism endpoints do not match the algebras")
     field = a.field
-    layouts = [
-        TensorLayout((a.dim,) * (n + 1) + (b.dim,) * (n * (n + 1) // 2))
-        for n in range(max_degree + 1)
-    ]
+    layouts = [_secondary_layout(a, b, n) for n in range(max_degree + 1)]
     dims = tuple(layouts[n].total for n in range(max_degree + 1))
     labels = {}
     for n in range(1, max_degree + 1):
@@ -498,15 +502,14 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
 def w_witness_vector(m: Bimodule, x: PointedSimplicialSet, e: dict,
                      mvec: dict, n: int) -> dict:
     """The module vector in slot 0 and the idempotent in every other slot."""
-    a = m.over
-    layout = TensorLayout((m.dim,) + (a.dim,) * (x.size(n) - 1))
-    return layout.expand(m.field, [mvec] + [e] * (x.size(n) - 1))
+    layout = _simplicial_layout(m, x, n)
+    return layout.expand(m.field, [mvec] + [e] * (len(layout.dims) - 1))
 
 
 def t_witness_vector(a: Algebra, b: Algebra, e: dict, f: dict, n: int) -> dict:
     """One idempotent along the diagonal, the other in every pair slot."""
-    layout = TensorLayout((a.dim,) * (n + 1) + (b.dim,) * (n * (n + 1) // 2))
-    return layout.expand(a.field, [e] * (n + 1) + [f] * (n * (n + 1) // 2))
+    layout = _secondary_layout(a, b, n)
+    return layout.expand(a.field, [e] * (n + 1) + [f] * (len(layout.dims) - n - 1))
 
 
 def _transport_report(system: LambdaSystem, vectors: list[dict]) -> dict:
@@ -689,15 +692,13 @@ def morita_report(a: Algebra, m: Bimodule, size: int, max_degree: int,
     corner_mats = corner_chain_map(
         a, m, corner_emb.matrix, corner_mod, max_degree, sys_big_circle.dims
     )
-    mor0 = LambdaMorphism(sys_small_classical, sys_big_circle, corner_mats,
-                          label="corner_to_circle")
-    mor1 = LambdaMorphism.identity(sys_big_circle, sys_big_classical,
-                                   label="circle_to_classical")
+    mor0 = LambdaMorphism(sys_small_classical, sys_big_circle, corner_mats)
+    mor1 = LambdaMorphism.identity(sys_big_circle, sys_big_classical)
     cert0 = check_lambda_morphism(mor0)
     cert1 = check_lambda_morphism(mor1)
     # the circle and classical systems of the extension have equal dims
     # (mor1 checks it), so the corner maps into either are the same matrices
-    mor2 = mor1.compose(mor0, label="corner_to_classical")
+    mor2 = mor1.compose(mor0)
     composition_ok = all(
         mor2.matrices[n] == corner_mats[n] for n in range(max_degree + 1)
     )

@@ -342,8 +342,7 @@ class Subspace:
     keep cheaper kernel-shaped bases.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "canonical", "_canon",
-                 "_row_at")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_canon", "_row_at")
 
     def __init__(self, field, ambient_dim: int, basis: Matrix, pivots: tuple,
                  canonical: bool = True):
@@ -351,7 +350,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-        self.canonical = canonical
         self._canon = self if canonical else None
         self._row_at = None
 

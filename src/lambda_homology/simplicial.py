@@ -5,9 +5,10 @@ always numbered 0.  Face maps are total functions recorded as image lists;
 degeneracy maps are optional and carried along for round-tripping, but
 nothing downstream consumes them.
 
-The ``fibers`` view groups the simplices of level n by their image under a
-face map.  Multi-element fibers are where face-variant choices live, so the
-partition exposes each fiber as an ordered tuple with a stable base order.
+``fibers(n, i)`` groups the simplices of level n by their image under d_i,
+as a plain dict from each target simplex that is hit to its fiber.
+Multi-element fibers are where face-variant choices live, so each fiber is
+an ordered tuple with a stable base order.
 """
 
 from __future__ import annotations
@@ -16,36 +17,11 @@ from .errors import ValidationError, spec_ints, spec_of
 
 __all__ = [
     "PointedSimplicialSet",
-    "FiberPartition",
     "circle",
     "sphere2",
     "simplicial_from_json",
     "simplicial_to_json",
 ]
-
-
-class FiberPartition:
-    """The fibers of one face map d_i: X_n -> X_{n-1}.
-
-    ``classes`` maps each target simplex that is hit to the tuple of its
-    preimages in base order: ascending simplex id, except that the basepoint
-    of X_n is listed last within its fiber when i == n.  That exception makes
-    the identity ordering of a basepoint fiber match the convention where the
-    wrap-around face multiplies onto the module from the right.
-    """
-
-    __slots__ = ("level", "index", "classes")
-
-    def __init__(self, level: int, index: int, classes: dict[int, tuple[int, ...]]):
-        self.level = level
-        self.index = index
-        self.classes = classes
-
-    def fiber_of(self, target: int) -> tuple[int, ...]:
-        return self.classes.get(target, ())
-
-    def multi_fibers(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [(t, c) for t, c in sorted(self.classes.items()) if len(c) > 1]
 
 
 class PointedSimplicialSet:
@@ -80,7 +56,16 @@ class PointedSimplicialSet:
             raise ValidationError("face index out of range", level=n, index=i)
         return self.faces[n - 1][i]
 
-    def fibers(self, n: int, i: int) -> FiberPartition:
+    def fibers(self, n: int, i: int) -> dict[int, tuple[int, ...]]:
+        """The fibers of d_i: X_n -> X_{n-1}, by target simplex.
+
+        Each target simplex that is hit maps to the tuple of its preimages
+        in base order: ascending simplex id, except that the basepoint of
+        X_n is listed last within its fiber when i == n.  That exception
+        makes the identity ordering of a basepoint fiber match the
+        convention where the wrap-around face multiplies onto the module
+        from the right.
+        """
         images = self.face_images(n, i)
         classes: dict[int, list[int]] = {}
         for x, t in enumerate(images):
@@ -90,7 +75,7 @@ class PointedSimplicialSet:
             if i == n and xs[0] == 0 and len(xs) > 1:
                 xs = xs[1:] + [0]
             out[t] = tuple(xs)
-        return FiberPartition(n, i, out)
+        return out
 
     def validate(self) -> list[dict]:
         """All violations: shape, range, pointedness, simplicial identities."""

@@ -491,7 +491,7 @@ class LambdaMorphism:
     """
 
     def __init__(self, source: LambdaSystem, target: LambdaSystem,
-                 matrices: list[Matrix], label: str = ""):
+                 matrices: list[Matrix]):
         if source.field != target.field:
             raise ValidationError("systems live over different fields")
         depth = min(source.max_degree, target.max_degree)
@@ -511,24 +511,22 @@ class LambdaMorphism:
         self.target = target
         self.matrices = matrices[: depth + 1]
         self.max_degree = depth
-        self.label = label
 
     @classmethod
-    def identity(cls, source: LambdaSystem, target: LambdaSystem,
-                 label: str = "identity") -> "LambdaMorphism":
+    def identity(cls, source: LambdaSystem, target: LambdaSystem) -> "LambdaMorphism":
         if source.dims != target.dims:
             raise ValidationError("identity morphism needs equal dims")
         depth = min(source.max_degree, target.max_degree)
         mats = [Matrix.identity(source.field, source.dims[n]) for n in range(depth + 1)]
-        return cls(source, target, mats, label=label)
+        return cls(source, target, mats)
 
-    def compose(self, earlier: "LambdaMorphism", label: str = "") -> "LambdaMorphism":
+    def compose(self, earlier: "LambdaMorphism") -> "LambdaMorphism":
         """self after earlier (earlier's target must be self's source)."""
         if earlier.target is not self.source and earlier.target.dims != self.source.dims:
             raise ValidationError("composition endpoint mismatch")
         depth = min(self.max_degree, earlier.max_degree)
         mats = [self.matrices[n].mul(earlier.matrices[n]) for n in range(depth + 1)]
-        return LambdaMorphism(earlier.source, self.target, mats, label=label)
+        return LambdaMorphism(earlier.source, self.target, mats)
 
 
 def check_lambda_morphism(mor: LambdaMorphism) -> dict:

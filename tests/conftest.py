@@ -127,7 +127,7 @@ def dense_table_of(algebra):
     mult = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            for k, c in algebra.pair(i, j).items():
+            for k, c in algebra.pairs[i][j].items():
                 mult[i][j][k] = Fraction(str(c))
     return mult
 

@@ -1,5 +1,6 @@
 """Structure-constant algebras, bimodules, morphisms, and their validators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from lambda_homology.algebras import (
     symmetric_group_table,
     truncated_polynomial_algebra,
     upper_triangular_2x2,
+    validate_algebra,
+    validate_bimodule,
     vector_from_json,
     vector_to_json,
 )
@@ -38,8 +41,8 @@ from oracles import columns, matvec_dense
 
 def test_builders_validate_clean(q, ground, dual, upper, m2, s3):
     for a in [ground, dual, upper, m2, s3]:
-        assert a.validate() == []
-        assert Bimodule.regular(a).validate() == []
+        assert validate_algebra(a) == []
+        assert validate_bimodule(Bimodule.regular(a)) == []
 
 
 def test_builders_match_hand_tables(dual, upper, m2, s3, dense_tables):
@@ -99,7 +102,7 @@ def test_cyclic_group_algebra_is_commutative():
     a = group_algebra(q, cyclic_group_table(4), label="C4")
     assert a.dim == 4
     assert a.is_commutative()
-    assert a.validate() == []
+    assert validate_algebra(a) == []
 
 
 def test_symmetric_group_table_shape():
@@ -120,7 +123,7 @@ def test_regular_bimodule_actions(dual):
 def test_matrix_algebra_shape_and_embedding(q, dual):
     big, emb = matrix_algebra(dual, 2)
     assert big.dim == 8
-    assert big.validate() == []
+    assert validate_algebra(big) == []
     assert emb.validate() == []
     assert not big.is_commutative()
     # embedding is unital and multiplicative by validate; check a corner
@@ -133,7 +136,7 @@ def test_matrix_bimodule_corner(q, dual):
     m = Bimodule.regular(dual)
     bigmod, corner = matrix_bimodule(big, m, 2)
     assert bigmod.dim == 8
-    assert bigmod.validate() == []
+    assert validate_bimodule(bigmod) == []
     assert isinstance(corner, Matrix)
     assert corner.nrows == 8 and corner.ncols == 2
     # corner embedding lands in the (0, 0) block
@@ -227,7 +230,7 @@ def test_algebra_json_round_trip(q, upper):
     assert again.dim == upper.dim
     for i in range(upper.dim):
         for j in range(upper.dim):
-            assert again.pair(i, j) == upper.pair(i, j)
+            assert again.pairs[i][j] == upper.pairs[i][j]
     assert again.unit == upper.unit
 
 
@@ -237,8 +240,8 @@ def test_bimodule_json_round_trip(q, upper):
     assert again.dim == m.dim
     for i in range(upper.dim):
         for j in range(m.dim):
-            assert again.left_pair(i, j) == m.left_pair(i, j)
-            assert again.right_pair(j, i) == m.right_pair(j, i)
+            assert again.left[i][j] == m.left[i][j]
+            assert again.right[j][i] == m.right[j][i]
 
 
 @pytest.mark.parametrize("part, entry", [
@@ -303,7 +306,7 @@ def test_vector_json(q):
 def test_prime_field_algebra(q):
     f5 = PrimeField(5)
     a = truncated_polynomial_algebra(f5, 2)
-    assert a.validate() == []
+    assert validate_algebra(a) == []
     assert a.multiply({1: 3}, {1: 2}) == {}  # x*x = 0 regardless of scalars
 
 
@@ -326,3 +329,81 @@ def test_t_witness_pair(q, ground, dual):
     assert not is_t_witness_pair(ident, {1: q.one}, f)
     # f must absorb e: f = e_{22} fails since e11 * e22 = 0
     assert not is_t_witness_pair(ident, e, {3: q.one})
+
+
+def test_regular_bimodule_shares_the_product_table(upper, m2, s3):
+    for a in (upper, m2, s3):
+        m = Bimodule.regular(a)
+        assert m.left is a.pairs and m.right is a.pairs
+
+
+# a bimodule over the upper-triangular algebra whose two actions differ: k^2
+# as column vectors on the left (e11 m0 = m0, e12 m1 = m0, e22 m1 = m1), and
+# through e22 -> 1, e11, e12 -> 0 on the right
+COLUMN_BIMODULE = {"dim": 2,
+                   "left": [[0, 0, 0, "1"], [1, 1, 0, "1"], [2, 1, 1, "1"]],
+                   "right": [[0, 2, 0, "1"], [1, 2, 1, "1"]]}
+
+
+def _dense_quads(quads, shape):
+    ni, nj, nk = shape
+    table = [[[Fraction(0)] * nk for _ in range(nj)] for _ in range(ni)]
+    for i, j, k, c in quads:
+        table[i][j][k] += Fraction(c)
+    return table
+
+
+def _triple_loop(table, x, y):
+    """sum over i, j, k of x_i y_j table[i][j][k] e_k, densely."""
+    out = [Fraction(0)] * len(table[0][0])
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in enumerate(table[i][j]):
+                out[k] += xi * yj * c
+    return out
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(7)], ids=["Q", "F7"])
+def test_products_and_actions_match_a_dense_triple_loop(field, dense_tables):
+    """``multiply``, ``act_left`` and ``act_right`` against the structure
+    constants written out by hand, on random sparse elements."""
+    rng = random.Random(19)
+    p = getattr(field, "p", None)
+
+    def element(dim):
+        vec, dense = {}, [Fraction(0)] * dim
+        for i in range(dim):
+            if rng.random() < 0.5:
+                num, den = rng.choice([-3, -2, -1, 1, 2, 3]), 1
+                if p is None:
+                    den = rng.choice([1, 2, 3])
+                vec[i] = field.parse(f"{num}/{den}")
+                dense[i] = Fraction(num, den)
+        return vec, dense
+
+    def reduce(dense):
+        return dense if p is None else [Fraction(int(v) % p) for v in dense]
+
+    upper = upper_triangular_2x2(field)
+    m2 = named_algebra(field, "matrix", inner={"builtin": "ground_field"}, size=2)
+    column = bimodule_from_json(COLUMN_BIMODULE, over=upper)
+    assert not column.is_symmetric()
+    cases = []   # (algebra, module, dense product, dense left, dense right)
+    for a, name in ((upper, "upper"), (m2, "m2")):
+        assert not a.is_commutative()
+        t = dense_tables[name]
+        cases.append((a, Bimodule.regular(a), t, t, t))
+    cases.append((upper, column, dense_tables["upper"],
+                  _dense_quads(COLUMN_BIMODULE["left"], (3, 2, 2)),
+                  _dense_quads(COLUMN_BIMODULE["right"], (2, 3, 2))))
+    for a, m, product, left, right in cases:
+        for _ in range(30):
+            x, dx = element(a.dim)
+            y, dy = element(a.dim)
+            v, dv = element(m.dim)
+            assert dense_vec(a.multiply(x, y), a.dim) == \
+                reduce(_triple_loop(product, dx, dy))
+            assert dense_vec(m.act_left(x, v), m.dim) == \
+                reduce(_triple_loop(left, dx, dv))
+            assert dense_vec(m.act_right(v, x), m.dim) == \
+                reduce(_triple_loop(right, dv, dx))

@@ -247,6 +247,42 @@ def test_sphere2_report_digest(tmp_path, case):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == SPHERE2_REPORTS[case]
 
 
+M2_OVER_K = {"builtin": "matrix", "size": 2, "inner": {"builtin": "ground_field"}}
+
+# SHA-256 of the full stdout of each command; the upper-triangular algebra's
+# regular actions differ on the left and the right.
+CLI_REPORTS = {
+    "witness-w": (
+        (["verify", "witness", "--kind", "w", "--max-degree", "2"], None),
+        "b7197c613cb4279c50cfde1ff4f8c5fd102d1df77cad25646b6e5aadfbcc549e"),
+    "witness-t": (
+        (["verify", "witness", "--kind", "t", "--max-degree", "3",
+          "--theta-degree", "1"], None),
+        "0dcc127aad309c868f7aabcc126742eb301d9b02e1a33fbfa724df5b01ff4a12"),
+    "m2-circle3-q-bases": (
+        (["homology", "--emit-bases"], M2_OVER_K),
+        "6c63a7eb5f6be07499c0402c78270d15ab02a7c2ff6635bb3b17df95ce329d07"),
+    "upper-circle3-f7-bases": (
+        (["homology", "--emit-bases", "--field", "fp:7"],
+         {"builtin": "upper_triangular"}),
+        "049533bbceb264dd853d3c500849f6ed005461c191526afa97e440315bd5b438"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REPORTS))
+def test_cli_report_digest(tmp_path, case):
+    (args, algebra), digest = CLI_REPORTS[case]
+    if algebra is not None:
+        spec = tmp_path / "circle3.json"
+        spec.write_text(json.dumps({
+            "construction": "higher_hochschild", "algebra": algebra,
+            "simplicial": {"builtin": "circle"}, "max_degree": 3}))
+        args = [args[0], str(spec), *args[1:]]
+    r = run_cli(args)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 UPPER_SPHERE2 = "triangular(upper_triangular_2x2,upper_triangular_2x2)"
 
 

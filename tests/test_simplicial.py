@@ -7,6 +7,7 @@ from lambda_homology.simplicial import (
     PointedSimplicialSet,
     circle,
     simplicial_from_json,
+    sphere2,
     simplicial_to_json,
 )
 
@@ -44,7 +45,7 @@ def test_circle_fibers_have_one_merge_each():
     for n in range(1, 5):
         for i in range(n + 1):
             part = x.fibers(n, i)
-            sizes = sorted(len(part.fiber_of(t))
+            sizes = sorted(len(part.get(t, ()))
                            for t in range(x.size(n - 1)))
             assert sizes == [1] * (x.size(n - 1) - 1) + [2]
 
@@ -56,7 +57,7 @@ def test_circle_last_face_fiber_puts_basepoint_last():
     x = circle(3)
     for n in range(1, 4):
         part = x.fibers(n, n)
-        merged = [f for f in (part.fiber_of(t) for t in range(x.size(n - 1)))
+        merged = [f for f in (part.get(t, ()) for t in range(x.size(n - 1)))
                   if len(f) == 2]
         assert merged == [(n, 0)]
 
@@ -64,9 +65,27 @@ def test_circle_last_face_fiber_puts_basepoint_last():
 def test_first_face_fiber_is_ordered():
     x = circle(3)
     part = x.fibers(3, 0)
-    merged = [f for f in (part.fiber_of(t) for t in range(x.size(2)))
+    merged = [f for f in (part.get(t, ()) for t in range(x.size(2)))
               if len(f) == 2]
     assert merged == [(0, 1)]
+
+
+@pytest.mark.parametrize("x", [circle(4), sphere2(4)], ids=["circle4", "sphere2_4"])
+def test_fibers_are_the_grouped_face_images(x):
+    """``fibers(n, i)`` is a plain dict from each target that is hit to its
+    preimages, ascending, except that the basepoint goes last when i == n."""
+    for n in range(1, x.max_level + 1):
+        for i in range(n + 1):
+            images = x.face_images(n, i)
+            expected = {}
+            for t in sorted(set(images)):
+                fiber = [s for s in range(x.size(n)) if images[s] == t]
+                if i == n and fiber[0] == 0:
+                    fiber = fiber[1:] + fiber[:1]
+                expected[t] = tuple(fiber)
+            part = x.fibers(n, i)
+            assert type(part) is dict
+            assert part == expected
 
 
 def test_truncate():

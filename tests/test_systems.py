@@ -362,8 +362,7 @@ def test_induced_maps_of_identity_and_zero(request, algebra):
     theta = compute_theta(sys_)
     betti = theta.betti()
     ident = LambdaMorphism.identity(sys_, sys_)
-    zero = LambdaMorphism(sys_, sys_, [Matrix.zeros(Q, d, d) for d in sys_.dims],
-                          label="zero")
+    zero = LambdaMorphism(sys_, sys_, [Matrix.zeros(Q, d, d) for d in sys_.dims])
     for mor, expect in ((ident, betti), (zero, [0] * len(betti))):
         maps = induced_theta_map(mor, theta, theta)["homology_maps"]
         assert [h["rank"] for h in maps] == expect
@@ -376,7 +375,7 @@ def test_identity_morphism_circle_to_classical_is_lambda(upper):
     m = Bimodule.regular(upper)
     src = higher_hochschild_system(upper, m, circle(3))
     tgt = hochschild_system(upper, m, 3)
-    mor = LambdaMorphism.identity(src, tgt, label="collapse")
+    mor = LambdaMorphism.identity(src, tgt)
     rep = check_lambda_morphism(mor)
     assert rep["ok"]
     # the single classical candidate is matched by the source reference,
@@ -386,7 +385,7 @@ def test_identity_morphism_circle_to_classical_is_lambda(upper):
         assert a["source_candidate"] == [[0, 1]]
     # the reverse direction must fail: the swapped candidate of the circle
     # system is not a face of the classical one for a noncommutative algebra
-    rev = LambdaMorphism.identity(tgt, src, label="inflate")
+    rev = LambdaMorphism.identity(tgt, src)
     rep = check_lambda_morphism(rev)
     assert not rep["ok"]
     assert rep["failures"]
@@ -398,7 +397,7 @@ def test_induced_map_on_theta(dual):
     m = Bimodule.regular(dual)
     src = higher_hochschild_system(dual, m, circle(3))
     tgt = hochschild_system(dual, m, 3)
-    mor = LambdaMorphism.identity(src, tgt, label="collapse")
+    mor = LambdaMorphism.identity(src, tgt)
     th_src = compute_theta(src)
     th_tgt = compute_theta(tgt)
     rep = induced_theta_map(mor, th_src, th_tgt)
