@@ -242,6 +242,7 @@ def cmd_homology(args) -> int:
     report = theta.homology()
     if args.emit_bases:
         report["theta"] = theta.to_json(emit_bases=True)
+    del system, theta   # faces and boundaries are not held through the write
     write_report(report, args, _homology_tsv)
     return 0
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add
 
 from .algebras import (
     Algebra,
@@ -139,18 +138,17 @@ def _basis_products(a: Algebra, m: Bimodule | None = None,
     return product
 
 
-def _strided(specs, total: int) -> list:
+def _strided(specs, codes) -> list:
     """The sum of ``code // stride % modulus * weight`` over the ``(stride,
-    modulus, weight)`` specs, for every code below ``total``."""
-    sums = [0] * total
+    modulus, weight)`` specs, for every code in ``codes``."""
+    sums = [0] * len(codes)
     for stride, modulus, weight in specs:
-        run = [v * weight for v in range(modulus) for _ in range(stride)]
-        sums = list(map(add, sums, run * (total // max(len(run), 1))))
+        sums = [t + c // stride % modulus * weight for t, c in zip(sums, codes)]
     return sums
 
 
-def _recipe_evaluators(field, layouts: list[TensorLayout], slots_of, product):
-    """Two face evaluators for every construction, driven by slot recipes.
+def _recipe_evaluator(field, layouts: list[TensorLayout], slots_of, product):
+    """The face evaluator of every construction, driven by slot recipes.
 
     ``slots_of(n, i, lab)`` describes a candidate face: for each slot of the
     degree n-1 layout, the slots of the degree n layout whose basis factors
@@ -163,11 +161,10 @@ def _recipe_evaluators(field, layouts: list[TensorLayout], slots_of, product):
     as the key of a table of basis products (already scaled by the target
     stride), shared by all recipes of the system and filled on first use of
     a key.  A column is the block sum plus the tensor product of the table
-    entries.  ``column_fn(n, i, lab, code)`` builds one column, fresh for
-    the caller, for faces applied to single vectors and never built.
-    ``face_rows(n, i, lab)`` builds a whole face in one pass, by rows: the
-    block sums and keys of all codes are strided patterns, each missing
-    table entry is filled once, and each entry goes straight to its row.
+    entries.  ``column_fn(n, i, lab, codes)`` evaluates a list of codes
+    (all of a face, or a vector's support) slot by slot: the keys of all
+    codes at once, each missing table entry filled once, and a code with an
+    empty entry dropped before the next slot is read.
     """
     one = field.one
     mul = field.mul
@@ -213,51 +210,31 @@ def _recipe_evaluators(field, layouts: list[TensorLayout], slots_of, product):
         blocks = tuple(share(tuple(b)) for b in blocks)
         return recipes.setdefault((n, i, lab), (blocks, tuple(multis)))
 
-    def fill(part, key: int):
+    def fill(part, key: int) -> None:
         """Compute and store the table entry of ``key``."""
         radix, table, kinds, stride = part
         vec = product(kinds, [key // w % d for _, d, w in radix])
-        prod = table[key] = share(tuple((j * stride, v) for j, v in vec.items()))
-        return prod
+        table[key] = share(tuple((j * stride, v) for j, v in vec.items()))
 
-    def column_fn(n, i, lab, code):
+    def column_fn(n, i, lab, codes):
         blocks, multis = recipes.get((n, i, lab)) or compile_recipe(n, i, lab)
-        base = 0
-        for ss, mod, ts in blocks:
-            base += code // ss % mod * ts
-        terms = ((base, one),)
-        for part in multis:
-            key = 0
-            for ss, d, w in part[0]:
-                key += code // ss % d * w
-            prod = part[1].get(key)
-            if prod is None:
-                prod = fill(part, key)
-            if not prod:
-                return {}
-            terms = [(o + p, mul(c, v)) for o, c in terms for p, v in prod]
-        return dict(terms)
-
-    def face_rows(n, i, lab):
-        blocks, multis = recipes.get((n, i, lab)) or compile_recipe(n, i, lab)
-        total = layouts[n].total
         factors = []
         for part in multis:
-            keys = _strided(part[0], total)
+            keys = _strided(part[0], codes)
             for key in set(keys).difference(part[1]):
                 fill(part, key)
-            factors.append(map(part[1].__getitem__, keys))
-        terms = factors[0] if factors else [((0, one),)] * total
+            prods = list(map(part[1].__getitem__, keys))
+            kept = (codes, *factors, prods)
+            if not all(prods):      # a zero product: drop its code
+                kept = [list(itertools.compress(c, prods)) for c in kept]
+            codes, *factors = kept
+        terms = factors[0] if factors else [((0, one),)] * len(codes)
         for more in factors[1:]:    # tensor products, as (offset, scalar) pairs
             terms = [[(o + p, mul(c, v)) for o, c in ts for p, v in prod]
                      for ts, prod in zip(terms, more)]
-        rows = [{} for _ in range(layouts[n - 1].total)]
-        for x, offset, ts in zip(range(total), _strided(blocks, total), terms):
-            for p, v in ts:
-                rows[offset + p][x] = v
-        return rows
+        return zip(codes, _strided(blocks, codes), terms)
 
-    return column_fn, face_rows
+    return column_fn
 
 
 def _check_pair(a: Algebra, m: Bimodule) -> None:
@@ -293,9 +270,9 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
             return [((n, "a"), (0, "m"))] + alg[:-1]
         return [((0, "m"),)] + alg[: i - 1] + [((i, "a"), (i + 1, "a"))] + alg[i + 1 :]
 
-    evaluators = _recipe_evaluators(field, layouts, slots_of, _basis_products(a, m))
+    column_fn = _recipe_evaluator(field, layouts, slots_of, _basis_products(a, m))
     tag = f"classical({a.label or 'A'},{m.label or 'M'})"
-    return LambdaSystem(field, max_degree, dims, labels, *evaluators, label=tag)
+    return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +287,7 @@ def _simplicial_layout(m: Bimodule, x: PointedSimplicialSet, n: int) -> TensorLa
 
 
 def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
-    """Shared dims, fibers and evaluators for systems over a simplicial set.
+    """Shared dims, fibers and evaluator for systems over a simplicial set.
 
     Simplex ids double as slot indices: slot 0 holds the module factor at
     the basepoint and slot j holds the algebra factor of simplex j.  For
@@ -345,8 +322,8 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
             out.append(tuple((s, "m" if t == 0 and s == 0 else "a") for s in ordered))
         return out
 
-    return dims, multis, _recipe_evaluators(field, layouts, slots_of,
-                                            _basis_products(a, m))
+    return dims, multis, _recipe_evaluator(field, layouts, slots_of,
+                                           _basis_products(a, m))
 
 
 def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
@@ -354,7 +331,7 @@ def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
     """The system over a pointed simplicial set with all fiber orderings,
     identity orderings first; their number is checked before they are
     enumerated."""
-    dims, multis, evaluators = _simplicial_engine(a, m, x)
+    dims, multis, column_fn = _simplicial_engine(a, m, x)
     labels = {}
     for (n, i), multi in multis.items():
         caps.check_index_size(
@@ -362,7 +339,7 @@ def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
         labels[(n, i)] = tuple(itertools.product(
             *(itertools.permutations(range(len(fib))) for _, fib in multi)))
     tag = f"simplicial({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
-    return LambdaSystem(a.field, x.max_level, dims, labels, *evaluators, label=tag)
+    return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
 
 def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSystem:
@@ -377,11 +354,11 @@ def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSyste
         raise ValidationError("commutative chain needs a commutative algebra")
     if not rep["bimodule_symmetric"]:
         raise ValidationError("commutative chain needs a symmetric bimodule")
-    dims, multis, evaluators = _simplicial_engine(a, m, x)
+    dims, multis, column_fn = _simplicial_engine(a, m, x)
     labels = {key: (tuple(tuple(range(len(fib))) for _, fib in multi),)
               for key, multi in multis.items()}
     tag = f"commutative({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
-    return LambdaSystem(a.field, x.max_level, dims, labels, *evaluators, label=tag)
+    return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
 
 def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
@@ -488,10 +465,10 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
                     pairs.append((db(pp, qq),))
         return diag + pairs
 
-    evaluators = _recipe_evaluators(field, layouts, slots_of,
-                                    _basis_products(a, b=b, eps=eps))
+    column_fn = _recipe_evaluator(field, layouts, slots_of,
+                                  _basis_products(a, b=b, eps=eps))
     tag = f"paired({a.label or 'A'},{b.label or 'B'})"
-    return LambdaSystem(field, max_degree, dims, labels, *evaluators, label=tag)
+    return LambdaSystem(field, max_degree, dims, labels, column_fn, label=tag)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ stacked linear system per degree:
 ``compute_theta`` and ``maximality_probe``; the probe reads the first block
 each excluded unit vector breaks off the column supports of the blocks.
 
-Face matrices are built whole and kept by rows, and every built matrix is
-applied to a stack of vectors by one product with their rows; only
-``apply_face`` evaluates a face column by column (``column_fn``), for
-vectors of ambients too large to build.  ``homology`` takes each boundary
-rank on theta coordinates and forms no ambient image; the ambient images
-of a basis under the boundary are computed only when an induced map asks
-for them (``boundary_image_rows``), and kept for the next one.
+One evaluator, ``column_fn``, gives a face's columns at any basis codes:
+faces are built whole from all of them and kept by rows, and
+``apply_face`` reads a vector's support only, for ambients too large to
+build.  Every built matrix is applied to a stack of vectors by one
+product with their rows.  Each boundary is built once and kept;
+``homology`` takes its ranks on theta coordinates, and the ambient images
+of a basis are computed only when an induced map asks for them
+(``boundary_image_rows``).
 """
 
 from __future__ import annotations
@@ -65,16 +66,17 @@ class LambdaSystem:
     """Graded spaces with families of candidate face maps.
 
     ``labels[(n, i)]`` lists the candidates at position i in degree n, the
-    first one being the reference; ``column_fn(n, i, lab, x)`` returns the
-    image of the x-th basis vector under that candidate as a sparse vector,
-    and ``face_rows(n, i, lab)`` the rows of the whole candidate, fresh for
-    the caller.  Reference face matrices are cached; non-reference
+    first one being the reference.  ``column_fn(n, i, lab, codes)`` returns
+    the nonzero columns of that candidate at a list of basis codes, as
+    ``(code, offset, terms)``: the column holds v in row offset + p for each
+    ``(p, v)`` in terms, and a code with a zero column is left out.
+    Reference face matrices and boundaries are cached; non-reference
     candidates are materialized on demand and dropped, since their number
     can be factorial.
     """
 
     def __init__(self, field, max_degree: int, dims, labels: dict,
-                 column_fn, face_rows, label: str = ""):
+                 column_fn, label: str = ""):
         if max_degree < 0:
             raise ValidationError("max_degree must be nonnegative", max_degree=max_degree)
         dims = tuple(int(d) for d in dims)
@@ -95,9 +97,9 @@ class LambdaSystem:
         self.dims = dims
         self.labels = labels
         self.column_fn = column_fn
-        self.face_rows = face_rows
         self.label = label
         self._ref_cache: dict = {}
+        self._boundary_cache: dict = {}
 
     def labels_at(self, n: int, i: int) -> tuple:
         return self.labels[(n, i)]
@@ -120,30 +122,33 @@ class LambdaSystem:
         return self._build_face(n, i, lab)
 
     def _build_face(self, n: int, i: int, lab) -> Matrix:
-        rows = self.face_rows(n, i, lab)
+        rows = [{} for _ in range(self.dims[n - 1])]
+        for x, offset, terms in self.column_fn(n, i, lab, range(self.dims[n])):
+            for p, v in terms:
+                rows[offset + p][x] = v
         return Matrix(self.field, self.dims[n - 1], self.dims[n], rows)
 
     def apply_face(self, n: int, i: int, lab, vec: dict) -> dict:
-        """Image of a vector, one ``column_fn`` call per nonzero entry; no
+        """Image of a vector, from the columns at its support only; no
         matrix is built or read, even a cached one."""
-        f = self.field
         out: dict = {}
-        for x, a in vec.items():
-            col = self.column_fn(n, i, lab, x)
-            if col:
-                f.axpy_row(out, col, a)
+        for x, offset, terms in self.column_fn(n, i, lab, vec):
+            self.field.axpy_row(out, {offset + p: v for p, v in terms}, vec[x])
         return out
 
     def boundary_matrix(self, n: int) -> Matrix:
-        """Alternating sum of the reference faces, summed row by row in place."""
-        f = self.field
-        rows = [{} for _ in range(self.dims[n - 1])]
-        sign = f.one
-        for i in range(n + 1):
-            for acc, frow in zip(rows, self.face_matrix(n, i).rows):
-                f.axpy_row(acc, frow, sign)
-            sign = f.neg(sign)
-        return Matrix(f, self.dims[n - 1], self.dims[n], rows)
+        """Alternating sum of the reference faces, summed row by row in
+        place; built once and kept."""
+        if n not in self._boundary_cache:
+            f = self.field
+            rows = [{} for _ in range(self.dims[n - 1])]
+            sign = f.one
+            for i in range(n + 1):
+                for acc, frow in zip(rows, self.face_matrix(n, i).rows):
+                    f.axpy_row(acc, frow, sign)
+                sign = f.neg(sign)
+            self._boundary_cache[n] = Matrix(f, self.dims[n - 1], self.dims[n], rows)
+        return self._boundary_cache[n]
 
     def apply_boundary(self, n: int, vec: dict) -> dict:
         # goes through apply_face so huge ambients with sparse vectors
@@ -198,14 +203,11 @@ def trivial_system(field, dims, face_matrices: dict, label: str = "") -> LambdaS
                 )
             labels[(n, i)] = (0,)
 
-    def column_fn(n, i, lab, x):    # hand-sized faces: a transpose per call
-        return face_matrices[(n, i)].transpose().rows[x]
+    def column_fn(n, i, lab, codes):    # hand-sized faces: a transpose per call
+        cols = face_matrices[(n, i)].transpose().rows
+        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
 
-    def face_rows(n, i, lab):
-        return [dict(r) for r in face_matrices[(n, i)].rows]
-
-    sys = LambdaSystem(field, len(dims) - 1, dims, labels, column_fn, face_rows,
-                       label=label)
+    sys = LambdaSystem(field, len(dims) - 1, dims, labels, column_fn, label=label)
     for (n, i), m in face_matrices.items():
         sys._ref_cache[(n, i)] = m
     return sys
@@ -305,9 +307,9 @@ class ThetaComplex:
         All face candidates agree on the subcomplex, so the reference faces
         compute the restricted boundary without choosing coordinates.  The
         images serve the induced maps: they are computed on the first call
-        and kept; ``homology`` never asks.  Only the boundary's transpose is
-        held while the basis is multiplied, and a full basis (the identity)
-        is not multiplied at all.
+        and kept; ``homology`` never asks.  The basis is multiplied by the
+        cached boundary's transpose, and a full basis (the identity) is not
+        multiplied at all.
         """
         cached = self._image_rows_cache.get(n)
         if cached is None:
@@ -317,44 +319,28 @@ class ThetaComplex:
             self._image_rows_cache[n] = cached
         return cached
 
-    def _boundaries(self):
-        """Yield each degree with its ambient boundary, after checking that
-        the boundary below composes with it to zero; two are held at a time."""
-        lower = None
-        for n in range(1, self.max_degree + 1):
-            upper = self.system.boundary_matrix(n)
-            if lower is not None:
-                self.check_boundary_squares_to_zero(n, lower, upper)
-            lower = upper
-            yield n, upper
-
-    def check_boundary_squares_to_zero(self, n: int | None = None,
-                                       lower: Matrix | None = None,
-                                       upper: Matrix | None = None) -> None:
-        """Exact check that the boundary composes to zero: in degree ``n``
-        from its ambient boundary ``upper`` and the one below, ``lower``, or
-        in every degree when called without arguments.
+    def check_boundary_squares_to_zero(self, n: int | None = None) -> None:
+        """Exact check that the boundary composes to zero: from degree ``n``
+        to n-2, or in every degree when called without arguments.
 
         A zero product certifies the degree; otherwise the first nonzero
         row of basis . square^T names the basis row it does not kill.
         """
-        if n is None:
-            for _ in self._boundaries():
-                pass
-            return
-        square = lower.mul(upper)
-        if square.is_zero():
-            return
-        _fail_at_first(_images(square, self.subspaces[n].basis.rows),
-                       "boundary does not square to zero", n)
+        bnd = self.system.boundary_matrix
+        for n in range(2, self.max_degree + 1) if n is None else range(max(n, 2), n + 1):
+            square = bnd(n - 1).mul(bnd(n))
+            if not square.is_zero():
+                _fail_at_first(_images(square, self.subspaces[n].basis.rows),
+                               "boundary does not square to zero", n)
 
     def homology(self) -> dict:
         """Per-degree dims, boundary ranks, and betti numbers.
 
         Degree N is excluded: under truncation the incoming boundary at the
         top degree is unknown, so the report is valid up to N-1.  The ranks
-        are computed once, degree by degree as ``_boundaries`` yields the
-        boundaries; each call returns a fresh report.
+        are computed once, degree by degree, each after the check that the
+        boundary squares to zero in its degree; each call returns a fresh
+        report.
 
         Each rank is taken on theta_{n-1} coordinates.  This needs the
         subspaces closed under the boundary, as ``compute_theta``'s closure
@@ -367,11 +353,13 @@ class ThetaComplex:
         n_max = self.max_degree
         if self._ranks is None:
             ranks = [0] * (n_max + 2)
-            for n, bnd in self._boundaries():
+            for n in range(1, n_max + 1):
+                bnd = self.system.boundary_matrix(n)
+                self.check_boundary_squares_to_zero(n)
                 keep = set(self.subspaces[n - 1].pivots)
                 picked = [r if p in keep else {} for p, r in enumerate(bnd.rows)]
-                at_pivots = Matrix(f, bnd.nrows, bnd.ncols, picked).transpose()
-                rows = self.subspaces[n].basis.mul(at_pivots).rows
+                at_pivots = Matrix(f, bnd.nrows, bnd.ncols, picked)
+                rows = self.subspaces[n].basis.mul(at_pivots.transpose()).rows
                 ranks[n] = rank(Matrix(f, len(rows), bnd.nrows, rows))
             self._ranks = ranks
         ranks = self._ranks

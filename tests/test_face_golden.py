@@ -15,6 +15,7 @@ digests were recorded from the hand-written triangular system it replaced.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -191,11 +192,12 @@ def test_returned_columns_are_owned_by_the_caller(construction):
         cols = columns(ref)
         for lab in system.labels_at(n, i):
             for x in range(system.dims[n]):
-                col = system.column_fn(n, i, lab, x)
+                unit = {x: system.field.one}
+                col = system.apply_face(n, i, lab, unit)
                 expect = dict(col)
                 col.clear()
                 col[-1] = 7
-                assert system.column_fn(n, i, lab, x) == expect
+                assert system.apply_face(n, i, lab, unit) == expect
         assert system.face_matrix(n, i) is ref
         assert ref.to_entries() == entries
         assert columns(ref) == cols
@@ -219,10 +221,27 @@ EXTRA = ("twisted/truncated_circle", "twisted/two_level", "truncated_polynomial/
 EVALUATOR_CASES = sorted(GOLDEN) + [f"{f}/{c}" for f in FIELDS for c in EXTRA]
 
 
+def random_vectors(rng, cols, count=3):
+    """Sparse vectors with nonzero entries at a shuffled subset of the
+    codes, which holds a zero column whenever the face has one."""
+    codes = list(range(len(cols)))
+    zero = [x for x in codes if not cols[x]]
+    vecs = []
+    for _ in range(count):
+        support = rng.sample(codes, rng.randint(1, len(codes)))
+        if zero and not any(not cols[x] for x in support):
+            support.append(rng.choice(zero))
+        rng.shuffle(support)
+        vecs.append({x: rng.randint(1, 6) for x in support})
+    return vecs
+
+
 @pytest.mark.parametrize("case", EVALUATOR_CASES)
 def test_whole_face_rows_equal_the_columns(case, two_level):
-    """``face_rows`` builds every candidate face in one pass; its rows hold
-    exactly the columns that ``column_fn`` builds one basis code at a time.
+    """``column_fn`` evaluates a face at any list of basis codes: a built
+    candidate face (every code) holds exactly the images ``apply_face``
+    gives of the unit vectors (one code each), and ``apply_face`` on a
+    random sparse vector (its shuffled support) is the product V . M^T.
     On the twisted basis some products have several terms and some faces
     have zero columns, and the test requires both to occur."""
     field_name, kind, construction = case.split("/")
@@ -230,14 +249,20 @@ def test_whole_face_rows_equal_the_columns(case, two_level):
         system = build_extra(field_name, construction, two_level)
     else:
         system = build(field_name, kind, construction)
+    field = system.field
+    rng = random.Random(case)
     zero = several = 0
     for (n, i), labs in sorted(system.labels.items()):
         for lab in labs:
-            cols = [system.column_fn(n, i, lab, x) for x in range(system.dims[n])]
-            rows = system.face_rows(n, i, lab)
-            assert len(rows) == system.dims[n - 1]
-            face = Matrix(system.field, len(rows), len(cols), rows)
-            assert face.transpose().rows == cols
+            face = system.face_matrix(n, i, lab)
+            assert len(face.rows) == system.dims[n - 1]
+            cols = face.transpose().rows
+            units = [{x: field.one} for x in range(system.dims[n])]
+            assert cols == [system.apply_face(n, i, lab, u) for u in units]
+            vecs = random_vectors(rng, cols)
+            stack = Matrix(field, len(vecs), system.dims[n], vecs)
+            expect = stack.mul(face.transpose()).rows
+            assert [system.apply_face(n, i, lab, v) for v in vecs] == expect
             zero += sum(not c for c in cols)
             several += sum(len(c) > 1 for c in cols)
     if kind == "twisted":

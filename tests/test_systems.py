@@ -60,13 +60,11 @@ def toy_system():
     }
     labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
 
-    def column_fn(n, i, lab, x):
-        return columns(mats[(n, i)][lab])[x]
+    def column_fn(n, i, lab, codes):
+        cols = columns(mats[(n, i)][lab])
+        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
 
-    def face_rows(n, i, lab):    # copies: agreement rows are formed in place
-        return [dict(r) for r in mats[(n, i)][lab].rows]
-
-    return LambdaSystem(Q, 2, (1, 2, 2), labels, column_fn, face_rows, label="toy")
+    return LambdaSystem(Q, 2, (1, 2, 2), labels, column_fn, label="toy")
 
 
 def test_toy_theta_matches_hand_computation():
@@ -248,6 +246,22 @@ def test_homology_is_computed_once(dual, monkeypatch):
     assert len(calls) == 3
 
 
+def test_each_boundary_is_built_once_and_squared_in_any_degree(dual):
+    """A system keeps each boundary it builds, for the homology ranks, the
+    square check and the induced maps alike; the square check runs in any
+    one degree, the lowest included."""
+    sys_ = hochschild_system(dual, Bimodule.regular(dual), 3)
+    theta = compute_theta(sys_)
+    assert theta.check_boundary_squares_to_zero(2) is None
+    assert theta.check_boundary_squares_to_zero(1) is None
+    built = [sys_.boundary_matrix(n) for n in range(1, 4)]
+    theta.homology()
+    theta.check_boundary_squares_to_zero()
+    theta.boundary_image_rows(3)
+    for n, bnd in enumerate(built, 1):
+        assert sys_.boundary_matrix(n) is bnd
+
+
 @pytest.mark.parametrize("case", ["dual", "upper", "m2", "s3/Fp", "sphere2/upper"])
 def test_theta_coordinate_ranks_equal_ambient_ranks(request, case):
     """``homology()`` ranks each boundary on the pivot coordinates of
@@ -321,8 +335,8 @@ def test_s3_homology_heap_peak():
 
 def test_built_faces_keep_rows_until_a_column_is_asked(upper):
     """A built face holds rows only, with no column view; its columns, asked
-    for as the rows of its transpose, are the columns ``column_fn`` gives,
-    zero columns included."""
+    for as the rows of its transpose, are the images ``apply_face`` gives
+    of the unit vectors, zero columns included."""
     sys_ = hochschild_system(upper, Bimodule.regular(upper), 2)
     for n, i in ((1, 0), (2, 1), (2, 2)):
         lab = sys_.reference_label(n, i)
@@ -330,7 +344,8 @@ def test_built_faces_keep_rows_until_a_column_is_asked(upper):
         assert not hasattr(face, "__dict__") and not hasattr(face, "column")
         cols = face.transpose().rows
         assert cols == columns(face)
-        assert cols == [sys_.column_fn(n, i, lab, x) for x in range(face.ncols)]
+        units = [{x: Q.one} for x in range(face.ncols)]
+        assert cols == [sys_.apply_face(n, i, lab, u) for u in units]
         assert any(not c for c in cols)
 
 
@@ -420,13 +435,11 @@ def _line_system(d0_candidates):
     }
     labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
 
-    def column_fn(n, i, lab, x):
-        return columns(mats[(n, i)][lab])[x]
+    def column_fn(n, i, lab, codes):
+        cols = columns(mats[(n, i)][lab])
+        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
 
-    def face_rows(n, i, lab):    # copies: agreement rows are formed in place
-        return [dict(r) for r in mats[(n, i)][lab].rows]
-
-    return LambdaSystem(Q, 1, (1, 2), labels, column_fn, face_rows)
+    return LambdaSystem(Q, 1, (1, 2), labels, column_fn)
 
 
 @pytest.mark.parametrize("broken, message", [
