@@ -13,7 +13,7 @@ Two formats live here and nowhere else: the basis of the matrix
 extensions M_l(A) and M_l(M), ordered (row, col, inner index), with one
 product rule (``_matrix_products``) for the algebra and both actions, so
 callers reach block (0, 0) through the corner embeddings; and the JSON
-[i, j, k, "c"] quadruples (``_read_products``, ``_product_entries``).
+[i, j, k, "c"] quadruples of a spec's product tables (``_read_products``).
 """
 
 from __future__ import annotations
@@ -37,20 +37,14 @@ __all__ = [
     "named_algebra",
     "matrix_algebra",
     "matrix_bimodule",
-    "symmetric_group_table",
-    "cyclic_group_table",
     "commutativity_report",
     "is_w_witness_pair",
     "is_t_witness_pair",
     "algebra_from_json",
-    "algebra_to_json",
     "bimodule_from_json",
-    "bimodule_to_json",
     "MORPHISM_BUILTINS",
     "morphism_from_json",
-    "morphism_to_json",
     "vector_from_json",
-    "vector_to_json",
 ]
 
 
@@ -366,20 +360,6 @@ def named_algebra(field, kind: str, **params) -> Algebra:
     raise ValidationError(f"unknown builtin algebra {kind!r}", kind=kind)
 
 
-def symmetric_group_table(n: int) -> list[list[int]]:
-    """Cayley table of S_n; product g*h applies h first, then g."""
-    elems = sorted(itertools.permutations(range(n)))
-    index = {g: i for i, g in enumerate(elems)}
-    return [
-        [index[tuple(g[h[k]] for k in range(n))] for h in elems]
-        for g in elems
-    ]
-
-
-def cyclic_group_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
 def _matrix_products(size: int, left_dim: int, right_dim: int, out_dim: int,
                      inner: list[list[dict]]) -> list[list[dict]]:
     """Basis products of size x size matrices over a bilinear product.
@@ -487,14 +467,6 @@ def _read_products(field, quads, what: str, shape: tuple[int, int, int],
     return [[_clean(entry) for entry in row] for row in table]
 
 
-def _product_entries(table: list[list[dict]], fmt) -> list[list]:
-    """The [i, j, k, "c"] quadruples of a product table, in index order."""
-    return [[i, j, k, fmt(v)]
-            for i, row in enumerate(table)
-            for j, entry in enumerate(row)
-            for k, v in sorted(entry.items())]
-
-
 def algebra_from_json(obj: dict, field=None) -> Algebra:
     """An algebra spec read over ``field``, if given, else over its own."""
     field = field_of(spec_of(obj, "algebra spec", dict), field)
@@ -519,16 +491,6 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
     return a
 
 
-def algebra_to_json(a: Algebra) -> dict:
-    fmt = a.field.fmt
-    unit = [fmt(a.unit.get(k, a.field.zero)) for k in range(a.dim)]
-    out = {"field": a.field.to_json(), "dim": a.dim,
-           "mult": _product_entries(a.pairs, fmt), "unit": unit}
-    if a.label:
-        out["label"] = a.label
-    return out
-
-
 def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
     field = over.field
     if "builtin" in spec_of(obj, "bimodule spec", dict):
@@ -545,15 +507,6 @@ def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
     if bad:
         raise ValidationError("bimodule axioms fail", violations=bad[:5])
     return m
-
-
-def bimodule_to_json(m: Bimodule) -> dict:
-    fmt = m.field.fmt
-    out = {"dim": m.dim, "left": _product_entries(m.left, fmt),
-           "right": _product_entries(m.right, fmt)}
-    if m.label:
-        out["label"] = m.label
-    return out
 
 
 def morphism_from_json(obj, source: Algebra, target: Algebra) -> AlgebraMorphism:
@@ -593,13 +546,6 @@ def morphism_from_json(obj, source: Algebra, target: Algebra) -> AlgebraMorphism
     return mor
 
 
-def morphism_to_json(m: AlgebraMorphism) -> dict:
-    out = {"matrix": m.matrix.to_entries(), "unital": m.unital}
-    if m.label:
-        out["label"] = m.label
-    return out
-
-
 def vector_from_json(field, lits: list, dim: int) -> dict:
     if len(spec_of(lits, "vector")) != dim:
         raise ValidationError("vector length mismatch", expected=dim, got=len(lits))
@@ -609,7 +555,3 @@ def vector_from_json(field, lits: list, dim: int) -> dict:
         if v:
             out[i] = v
     return out
-
-
-def vector_to_json(field, vec: dict, dim: int) -> list:
-    return [field.fmt(vec.get(i, field.zero)) for i in range(dim)]

@@ -217,18 +217,20 @@ def _flat_checks(report: dict, prefix="") -> list:
 
 
 def write_report(report: dict, args, tsv_fn=None) -> None:
-    if getattr(args, "format", "json") == "tsv":
-        text = tsv_fn(report) if tsv_fn else _tsv_table(
-            ["check", "result"], _flat_checks(report)
-        )
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write the report to ``--out`` or stdout, as a TSV table or as
+    indented JSON; the JSON is streamed, never held as one string."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    fh = open(out, "w", encoding="utf-8") if out else sys.stdout
+    try:
+        if getattr(args, "format", "json") == "tsv":
+            fh.write(tsv_fn(report) if tsv_fn else _tsv_table(
+                ["check", "result"], _flat_checks(report)))
+        else:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    finally:
+        if out:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------

@@ -495,7 +495,7 @@ def _transport_report(system: LambdaSystem, vectors: list[dict]) -> dict:
     failures = []
     for n in range(1, len(vectors)):
         for i in range(n + 1):
-            for lab in system.labels_at(n, i):
+            for lab in system.labels[(n, i)]:
                 img = system.apply_face(n, i, lab, vectors[n])
                 checked += 1
                 if img != vectors[n - 1]:

@@ -10,8 +10,9 @@ not integral.  ``fractions`` (which loads ``decimal``) is imported on
 first use.  Arithmetic may still yield an integral ``Fraction``, which
 compares, hashes and prints like the equal ``int``, so no code needs to
 tell the two apart.  Over a prime field scalars are ints kept canonical in
-``[0, p)``.  The field objects supply arithmetic, parsing of ``"a/b"``
-strings, and the row kernels the elimination code runs hot.
+``[0, p)``.  The field objects supply scalar arithmetic, parsing of
+``"a/b"`` strings, and the plain row kernels the elimination code runs
+hot; the elimination keeps its own index of which rows hold which column.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class Rationals:
     """The field of rational numbers with exact arithmetic.
 
     Integral values are ``int`` and the others ``Fraction``: ``zero``,
-    ``one``, ``from_int`` and ``parse`` of an integer literal give ints;
+    ``one`` and ``parse`` of an integer literal give ints;
     ``inv`` gives an int for +-1 and a ``Fraction`` otherwise.  Sums and
     products of ints stay ints and run no gcd; elimination multiplies
     instead of dividing, so integer inputs are eliminated on ints
@@ -78,9 +79,6 @@ class Rationals:
     p = None
     zero = 0
     one = 1
-
-    def from_int(self, n: int):
-        return n
 
     def parse(self, s: str):
         x = _read_literal(s)
@@ -117,18 +115,6 @@ class Rationals:
             elif k in dst:
                 del dst[k]
 
-    def axpy_row_indexed(self, dst: dict, src: dict, c, colindex, dst_id) -> None:
-        """Like axpy_row but keeps a column -> row-ids index in sync."""
-        get = dst.get
-        for k, v in src.items():
-            w = get(k, 0) + c * v
-            if w:
-                dst[k] = w
-                colindex[k].add(dst_id)
-            elif k in dst:
-                del dst[k]
-                colindex[k].discard(dst_id)
-
     # Elimination keeps rows as primitive integer dicts and divides only
     # once a pivot row is done (Bareiss 1968, fraction-free elimination).
 
@@ -155,14 +141,10 @@ class Rationals:
         where ``cancel`` reads the pivot off the row."""
         return None
 
-    def cancel(self, dst: dict, src: dict, col: int, key,
-               colindex=None, dst_id=None) -> None:
+    def cancel(self, dst: dict, src: dict, col: int, key) -> None:
         """Clear column ``col`` of ``dst`` with the pivot row ``src``:
         dst <- (pv/g) dst - (f/g) src for pv = src[col], f = dst[col] and
-        g = gcd(pv, f), divided by its content if it was scaled.  With
-        ``colindex``, a column -> row-ids index is kept in sync; only the
-        reduced echelon form passes one, when it clears a new pivot's
-        column out of earlier pivot rows."""
+        g = gcd(pv, f), divided by its content if it was scaled."""
         pv, f = src[col], dst[col]
         g = gcd(pv, f)
         a, b = pv // g, f // g
@@ -171,10 +153,7 @@ class Rationals:
         if a != 1:
             for k, v in dst.items():
                 dst[k] = a * v
-        if colindex is None:
-            self.axpy_row(dst, src, -b)
-        else:
-            self.axpy_row_indexed(dst, src, -b, colindex, dst_id)
+        self.axpy_row(dst, src, -b)
         if a != 1 and dst:
             self._divide_content(dst)
 
@@ -225,9 +204,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def parse(self, s: str):
         frac = _read_literal(s)
         den = frac.denominator % self.p
@@ -266,18 +242,6 @@ class PrimeField:
             elif k in dst:
                 del dst[k]
 
-    def axpy_row_indexed(self, dst: dict, src: dict, c, colindex, dst_id) -> None:
-        p = self.p
-        get = dst.get
-        for k, v in src.items():
-            w = (get(k, 0) + c * v) % p
-            if w:
-                dst[k] = w
-                colindex[k].add(dst_id)
-            elif k in dst:
-                del dst[k]
-                colindex[k].discard(dst_id)
-
     def make_integral(self, row: dict) -> None:
         """Nothing to clear: scalars are already ints."""
 
@@ -286,16 +250,9 @@ class PrimeField:
         pivot row's pivot entry never changes, so one key serves it."""
         return self.p - pow(pv, -1, self.p)
 
-    def cancel(self, dst: dict, src: dict, col: int, key,
-               colindex=None, dst_id=None) -> None:
-        """Clear column ``col`` of ``dst``: dst += (dst[col] key) src.
-        With ``colindex`` (passed only when the reduced echelon form clears
-        an earlier pivot row), a column -> row-ids index is kept in sync."""
-        c = dst[col] * key % self.p
-        if colindex is None:
-            self.axpy_row(dst, src, c)
-        else:
-            self.axpy_row_indexed(dst, src, c, colindex, dst_id)
+    def cancel(self, dst: dict, src: dict, col: int, key) -> None:
+        """Clear column ``col`` of ``dst``: dst += (dst[col] key) src."""
+        self.axpy_row(dst, src, dst[col] * key % self.p)
 
     def unit_pivot(self, row: dict, col: int) -> None:
         """Divide a row by its entry at ``col``."""

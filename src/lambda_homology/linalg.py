@@ -10,8 +10,9 @@ comparison.
 ``rref`` runs one sparse engine, one loop over the rows, shortest row
 first.  For the reduced echelon form each row is reduced in one pass
 against the reduced pivot rows found so far, and a row that survives is
-cleared out of the pivot rows that hold its leftmost column (the form is
-unique, so the visiting order cannot change it).  A rank needs only an
+cleared out of the pivot rows that hold its leftmost column, found through
+a column -> pivots index the loop keeps itself (the form is unique, so the
+visiting order cannot change it).  A rank needs only an
 echelon form: each row is reduced until its leftmost column is new, and
 then becomes that column's pivot row for good.  Over Q elimination is
 fraction-free: rows are primitive integer dicts, and a pivot row of the
@@ -47,10 +48,6 @@ class Matrix:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, [{} for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         one = field.one
         return cls(field, n, n, [{i: one} for i in range(n)])
@@ -73,17 +70,6 @@ class Matrix:
                 del row[c]
         return cls(field, nrows, ncols, rows)
 
-    @classmethod
-    def from_dense(cls, field, data: Sequence[Sequence]) -> "Matrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        rows = []
-        for drow in data:
-            if len(drow) != ncols:
-                raise ValidationError("ragged dense matrix")
-            rows.append({c: v for c, v in enumerate(drow) if v})
-        return cls(field, nrows, ncols, rows)
-
     # ------------------------------------------------------------- queries
 
     def nnz(self) -> int:
@@ -91,12 +77,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
-
-    def to_dense(self) -> list[list]:
-        zero = self.field.zero
-        return [
-            [row.get(c, zero) for c in range(self.ncols)] for row in self.rows
-        ]
 
     def to_entries(self) -> list[list]:
         """Sorted (row, col, str) triples for serialization."""
@@ -181,7 +161,15 @@ def _rref_sparse(field, work: list[dict], ncols: int, full: bool):
         row_at[col] = row
         if full:
             for pc in holders.pop(col, ()):
-                cancel(row_at[pc], row, col, key, holders, pc)
+                prow = row_at[pc]
+                cancel(prow, row, col, key)
+                # only the columns of ``row`` can enter or leave ``prow``;
+                # ``col`` left it and is held by no row from now on
+                for c in row:
+                    if c in prow:
+                        holders[c].add(pc)
+                    elif c != col:
+                        holders[c].discard(pc)
             for c in row:
                 if c != col:
                     holders[c].add(col)

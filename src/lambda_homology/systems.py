@@ -43,7 +43,6 @@ from .linalg import (
 
 __all__ = [
     "LambdaSystem",
-    "trivial_system",
     "ThetaComplex",
     "compute_theta",
     "validate_subcomplex",
@@ -101,15 +100,9 @@ class LambdaSystem:
         self._ref_cache: dict = {}
         self._boundary_cache: dict = {}
 
-    def labels_at(self, n: int, i: int) -> tuple:
-        return self.labels[(n, i)]
-
-    def reference_label(self, n: int, i: int):
-        return self.labels[(n, i)][0]
-
     def face_matrix(self, n: int, i: int, lab=None) -> Matrix:
         """The candidate's matrix; the reference candidate is cached."""
-        ref = self.reference_label(n, i)
+        ref = self.labels[(n, i)][0]
         if lab is None:
             lab = ref
         if lab == ref:
@@ -157,7 +150,7 @@ class LambdaSystem:
         out: dict = {}
         sign = f.one
         for i in range(n + 1):
-            img = self.apply_face(n, i, self.reference_label(n, i), vec)
+            img = self.apply_face(n, i, self.labels[(n, i)][0], vec)
             if img:
                 f.axpy_row(out, img, sign)
             sign = f.neg(sign)
@@ -181,38 +174,6 @@ class LambdaSystem:
         return f"LambdaSystem({tag}, dims={list(self.dims)})"
 
 
-def trivial_system(field, dims, face_matrices: dict, label: str = "") -> LambdaSystem:
-    """Wrap plain face matrices as a system with one candidate per position.
-
-    ``face_matrices[(n, i)]`` must have shape dims[n-1] x dims[n]; no
-    identities are assumed or checked here.
-    """
-    dims = tuple(int(d) for d in dims)
-    labels = {}
-    for n in range(1, len(dims)):
-        for i in range(n + 1):
-            m = face_matrices.get((n, i))
-            if m is None:
-                raise ValidationError("missing face matrix", degree=n, position=i)
-            if m.nrows != dims[n - 1] or m.ncols != dims[n]:
-                raise ValidationError(
-                    "face matrix shape mismatch",
-                    degree=n, position=i,
-                    shape=[m.nrows, m.ncols],
-                    expected=[dims[n - 1], dims[n]],
-                )
-            labels[(n, i)] = (0,)
-
-    def column_fn(n, i, lab, codes):    # hand-sized faces: a transpose per call
-        cols = face_matrices[(n, i)].transpose().rows
-        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
-
-    sys = LambdaSystem(field, len(dims) - 1, dims, labels, column_fn, label=label)
-    for (n, i), m in face_matrices.items():
-        sys._ref_cache[(n, i)] = m
-    return sys
-
-
 # ---------------------------------------------------------------------------
 # the maximal subcomplex
 # ---------------------------------------------------------------------------
@@ -231,7 +192,7 @@ def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace):
     f = system.field
     minus_one = f.neg(f.one)
     for i in range(n + 1):
-        labs = system.labels_at(n, i)
+        labs = system.labels[(n, i)]
         if len(labs) == 1:
             continue
         ref_rows = system.face_matrix(n, i).rows
@@ -439,12 +400,12 @@ def _violations(system: LambdaSystem, candidates: list[Subspace]):
     witness spans live in ambients far too large for that.
     """
     def ref(n, i, vec):
-        return system.apply_face(n, i, system.reference_label(n, i), vec)
+        return system.apply_face(n, i, system.labels[(n, i)][0], vec)
 
     for n in range(1, system.max_degree + 1):
         basis = candidates[n].basis.rows
         for i in range(n + 1):
-            labs = system.labels_at(n, i)
+            labs = system.labels[(n, i)]
             for idx, w in enumerate(basis):
                 base_img = ref(n, i, w)
                 for lab in labs[1:]:
@@ -531,10 +492,10 @@ def check_lambda_morphism(mor: LambdaMorphism) -> dict:
         f_prev = mor.matrices[n - 1]
         for i in range(n + 1):
             rhs_cache = {}
-            for alpha in mor.target.labels_at(n, i):
+            for alpha in mor.target.labels[(n, i)]:
                 lhs = mor.target.face_matrix(n, i, alpha).mul(f_n)
                 found = None
-                for beta in mor.source.labels_at(n, i):
+                for beta in mor.source.labels[(n, i)]:
                     rhs = rhs_cache.get(beta)
                     if rhs is None:
                         rhs = f_prev.mul(mor.source.face_matrix(n, i, beta))

@@ -1,5 +1,7 @@
 """Shared fixtures: small algebras, their hand-entered dense tables, and a
-tiny two-level complex used wherever a non-circle shape is needed."""
+tiny two-level complex used wherever a non-circle shape is needed; plus the
+test-side builders the package has no command for: dense matrices, systems
+from hand-written face matrices, group tables and spec writers."""
 
 from __future__ import annotations
 
@@ -13,12 +15,15 @@ from lambda_homology.algebras import (
     ground_field_algebra,
     group_algebra,
     matrix_algebra,
-    symmetric_group_table,
     truncated_polynomial_algebra,
     upper_triangular_2x2,
 )
 from lambda_homology.fields import Rationals
+from lambda_homology.linalg import Matrix
 from lambda_homology.simplicial import PointedSimplicialSet, circle
+from lambda_homology.systems import LambdaSystem
+
+from oracles import columns
 
 
 @pytest.fixture(scope="session")
@@ -137,8 +142,14 @@ def dense_vec(vec: dict, n: int):
     return [Fraction(str(vec.get(i, 0))) for i in range(n)]
 
 
+def dense_rows(m):
+    """A package matrix as a dense list of its rows."""
+    zero = m.field.zero
+    return [[row.get(c, zero) for c in range(m.ncols)] for row in m.rows]
+
+
 def dense_matrix(m):
-    return [[Fraction(str(x)) for x in row] for row in m.to_dense()]
+    return [[Fraction(str(x)) for x in row] for row in dense_rows(m)]
 
 
 def dense_span(sub):
@@ -156,3 +167,83 @@ def same_span(dense_a, dense_b):
 @pytest.fixture(scope="session")
 def regular_of():
     return Bimodule.regular
+
+
+# ---------------------------------------------------------------------------
+# builders the package has no command for
+# ---------------------------------------------------------------------------
+
+
+def matrix_of(field, dense):
+    """A package matrix from dense rows, through ``Matrix.from_entries``
+    (so entries are reduced by the field's addition)."""
+    ncols = len(dense[0]) if dense else 0
+    return Matrix.from_entries(field, len(dense), ncols, (
+        (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v))
+
+
+def candidate_system(field, dims, mats, label=""):
+    """A system whose candidates at (n, i) are the matrices ``mats[(n, i)]``,
+    the first one the reference, evaluated column by column."""
+    labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
+
+    def column_fn(n, i, lab, codes):
+        cols = columns(mats[(n, i)][lab])
+        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
+
+    return LambdaSystem(field, len(dims) - 1, dims, labels, column_fn, label=label)
+
+
+def trivial_system(field, dims, faces, label=""):
+    """A system with one candidate per face position, ``faces[(n, i)]``."""
+    return candidate_system(field, dims, {pos: [m] for pos, m in faces.items()},
+                            label=label)
+
+
+def symmetric_group_table(n):
+    """Cayley table of S_n; product g*h applies h first, then g."""
+    elems = sorted(permutations(range(n)))
+    index = {g: i for i, g in enumerate(elems)}
+    return [[index[tuple(g[h[k]] for k in range(n))] for h in elems]
+            for g in elems]
+
+
+def cyclic_group_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def product_entries(table, fmt):
+    """The [i, j, k, "c"] quadruples of a product table, in index order."""
+    return [[i, j, k, fmt(v)]
+            for i, row in enumerate(table)
+            for j, entry in enumerate(row)
+            for k, v in sorted(entry.items())]
+
+
+def algebra_to_json(a):
+    """An algebra spec that ``algebra_from_json`` reads back to ``a``."""
+    fmt = a.field.fmt
+    out = {"field": a.field.to_json(), "dim": a.dim,
+           "mult": product_entries(a.pairs, fmt),
+           "unit": [fmt(a.unit.get(k, a.field.zero)) for k in range(a.dim)]}
+    if a.label:
+        out["label"] = a.label
+    return out
+
+
+def bimodule_to_json(m):
+    """A bimodule spec that ``bimodule_from_json`` reads back to ``m``."""
+    fmt = m.field.fmt
+    out = {"dim": m.dim, "left": product_entries(m.left, fmt),
+           "right": product_entries(m.right, fmt)}
+    if m.label:
+        out["label"] = m.label
+    return out
+
+
+def morphism_to_json(m):
+    """A morphism spec that ``morphism_from_json`` reads back to ``m``."""
+    out = {"matrix": m.matrix.to_entries(), "unital": m.unital}
+    if m.label:
+        out["label"] = m.label
+    return out

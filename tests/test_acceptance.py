@@ -176,7 +176,7 @@ def test_criterion_1_circle_recovers_classical_faces(art):
             assert on_circle.dims == classical.dims, name
             for n in range(1, 5):
                 for i in range(n + 1):
-                    ref = on_circle.reference_label(n, i)
+                    ref = on_circle.labels[(n, i)][0]
                     assert on_circle.face_matrix(n, i, ref) == \
                         classical.face_matrix(n, i), (name, n, i)
 
@@ -233,7 +233,7 @@ def test_criterion_5_secondary_degeneration(art):
             for n in range(1, 4):
                 for i in range(n + 1):
                     want = cls.face_matrix(n, i)
-                    for lab in sec.labels_at(n, i):
+                    for lab in sec.labels[(n, i)]:
                         assert sec.face_matrix(n, i, lab) == want, \
                             (name, n, i)
             b_sec, b_cls = art["secondary"][name + "_betti"]

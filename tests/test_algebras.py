@@ -9,11 +9,8 @@ from lambda_homology.algebras import (
     AlgebraMorphism,
     Bimodule,
     algebra_from_json,
-    algebra_to_json,
     bimodule_from_json,
-    bimodule_to_json,
     commutativity_report,
-    cyclic_group_table,
     ground_field_algebra,
     group_algebra,
     is_t_witness_pair,
@@ -21,21 +18,27 @@ from lambda_homology.algebras import (
     matrix_algebra,
     matrix_bimodule,
     morphism_from_json,
-    morphism_to_json,
     named_algebra,
-    symmetric_group_table,
     truncated_polynomial_algebra,
     upper_triangular_2x2,
     validate_algebra,
     validate_bimodule,
     vector_from_json,
-    vector_to_json,
 )
 from lambda_homology.errors import ValidationError
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix
 
-from conftest import dense_matrix, dense_table_of, dense_vec
+from conftest import (
+    algebra_to_json,
+    bimodule_to_json,
+    cyclic_group_table,
+    dense_matrix,
+    dense_table_of,
+    dense_vec,
+    morphism_to_json,
+    symmetric_group_table,
+)
 from oracles import columns, matvec_dense
 
 
@@ -200,7 +203,7 @@ def test_morphism_apply_is_the_matrix_product(field):
             basis = {i: field.one}
             assert dense_vec(mor.apply_basis(i), t) == product(mor, basis)
             assert mor.apply(basis) == mor.apply_basis(i)
-        vec = {i: field.from_int(i + 2) for i in range(d)}
+        vec = {i: i + 2 for i in range(d)}
         assert dense_vec(mor.apply(vec), t) == product(mor, vec)
         assert mor.apply({}) == {}
 
@@ -298,7 +301,7 @@ def test_named_algebra_dispatch(q):
 def test_vector_json(q):
     v = vector_from_json(q, ["1", "0", "-2/3"], 3)
     assert v == {0: q.one, 2: q.parse("-2/3")}
-    assert vector_to_json(q, v, 3) == ["1", "0", "-2/3"]
+    assert [q.fmt(v.get(i, q.zero)) for i in range(3)] == ["1", "0", "-2/3"]
     with pytest.raises(ValidationError):
         vector_from_json(q, ["1", "2"], 3)
 

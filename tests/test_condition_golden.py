@@ -8,7 +8,8 @@ on the subcomplex with its top degree replaced by the full space, and
 than ten violations, so they pin the cut at ten.  The shipped systems are
 the classical Hochschild complex to depth 3 and the higher Hochschild
 system on ``circle(3)``.  No shipped system breaks a pre-simplicial
-identity, so seeded random ``trivial_system``s with faces that break them
+identity, so seeded random systems (``conftest.trivial_system``, one
+candidate per position) with faces that break them
 cover the identity branch.  The digests were recorded from the
 implementation that checked each condition vector by vector; any
 rewrite must reproduce them exactly.
@@ -25,20 +26,16 @@ from lambda_homology.algebras import (
     ground_field_algebra,
     group_algebra,
     matrix_algebra,
-    symmetric_group_table,
     truncated_polynomial_algebra,
     upper_triangular_2x2,
 )
 from lambda_homology.constructions import higher_hochschild_system, hochschild_system
 from lambda_homology.fields import RATIONALS, PrimeField
-from lambda_homology.linalg import Matrix, Subspace
+from lambda_homology.linalg import Subspace
 from lambda_homology.simplicial import circle
-from lambda_homology.systems import (
-    compute_theta,
-    maximality_probe,
-    trivial_system,
-    validate_subcomplex,
-)
+from lambda_homology.systems import compute_theta, maximality_probe, validate_subcomplex
+
+from conftest import matrix_of, symmetric_group_table, trivial_system
 
 FIELDS = {"Q": RATIONALS, "F7": PrimeField(7)}
 OUTPUTS = ("theta", "full", "full_top", "probe")
@@ -56,15 +53,16 @@ def _algebra(field, name):
 
 
 def random_trivial(field, seed):
-    """Faces with entries in -2..2, three quarters of them zero."""
+    """Faces with entries in -2..2, three quarters of them zero (reduced
+    mod p over F_p by ``matrix_of``)."""
     rng = random.Random(seed)
     dims = (2, 3, 4, 4)
     faces = {}
     for n in range(1, len(dims)):
         for i in range(n + 1):
-            dense = [[field.from_int(rng.choice((0,) * 12 + (-2, -1, 1, 2)))
+            dense = [[rng.choice((0,) * 12 + (-2, -1, 1, 2))
                       for _ in range(dims[n])] for _ in range(dims[n - 1])]
-            faces[(n, i)] = Matrix.from_dense(field, dense)
+            faces[(n, i)] = matrix_of(field, dense)
     return trivial_system(field, dims, faces, label=f"random{seed}")
 
 

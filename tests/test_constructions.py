@@ -32,7 +32,9 @@ from lambda_homology.errors import ResourceCapError, ValidationError
 from lambda_homology.fields import Rationals
 from lambda_homology.linalg import Matrix
 from lambda_homology.simplicial import circle, simplicial_from_json
-from lambda_homology.systems import compute_theta, trivial_system
+from lambda_homology.systems import compute_theta
+
+from conftest import matrix_of, trivial_system
 from oracles import boundary_triangle
 
 Q = Rationals()
@@ -50,7 +52,7 @@ def assert_reference_faces_classical(a, max_degree):
     assert on_circle.dims == classical.dims
     for n in range(1, max_degree + 1):
         for i in range(n + 1):
-            ref = on_circle.reference_label(n, i)
+            ref = on_circle.labels[(n, i)][0]
             assert on_circle.face_matrix(n, i, ref) == \
                 classical.face_matrix(n, i)
 
@@ -104,9 +106,9 @@ def test_loday_chain_matches_simplicial_system(dual, circle4):
     assert trimmed.dims == full.dims
     for n in range(1, 5):
         for i in range(n + 1):
-            assert len(trimmed.labels_at(n, i)) == 1
+            assert len(trimmed.labels[(n, i)]) == 1
             assert trimmed.face_matrix(n, i) == full.face_matrix(
-                n, i, full.reference_label(n, i))
+                n, i, full.labels[(n, i)][0])
 
 
 def test_loday_chain_requires_commutative(upper, circle4):
@@ -183,7 +185,7 @@ def assert_secondary_degenerates(a):
     for n in range(1, 4):
         for i in range(n + 1):
             want = classical.face_matrix(n, i)
-            for lab in sys2.labels_at(n, i):
+            for lab in sys2.labels[(n, i)]:
                 assert sys2.face_matrix(n, i, lab) == want
     assert compute_theta(sys2).betti() == compute_theta(classical).betti()
 
@@ -240,7 +242,7 @@ def test_w_witness_vector_is_fixed_by_all_faces(corner_setup):
         wn = w_witness_vector(bigmod, x, e, e, n)
         prev = w_witness_vector(bigmod, x, e, e, n - 1)
         for i in range(n + 1):
-            for lab in sys_.labels_at(n, i):
+            for lab in sys_.labels[(n, i)]:
                 assert sys_.apply_face(n, i, lab, wn) == prev
 
 
@@ -367,10 +369,10 @@ def test_compare_reports_dimension_difference(dual, upper):
 
 
 def test_compare_reports_face_difference():
-    mats_a = {(1, 0): Matrix.from_dense(Q, [[1, 0]]),
-              (1, 1): Matrix.from_dense(Q, [[0, 1]])}
-    mats_b = {(1, 0): Matrix.from_dense(Q, [[1, 0]]),
-              (1, 1): Matrix.from_dense(Q, [[0, 2]])}
+    mats_a = {(1, 0): matrix_of(Q, [[1, 0]]),
+              (1, 1): matrix_of(Q, [[0, 1]])}
+    mats_b = {(1, 0): matrix_of(Q, [[1, 0]]),
+              (1, 1): matrix_of(Q, [[0, 2]])}
     left = trivial_system(Q, (1, 2), mats_a, label="a")
     right = trivial_system(Q, (1, 2), mats_b, label="b")
     rep = compare_systems(left, right)

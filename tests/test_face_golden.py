@@ -91,7 +91,7 @@ def face_digest(system) -> str:
     h = hashlib.sha256()
     for n in range(1, system.max_degree + 1):
         for i in range(n + 1):
-            for lab in system.labels_at(n, i):
+            for lab in system.labels[(n, i)]:
                 entries = system.face_matrix(n, i, lab).to_entries()
                 h.update(json.dumps([n, i, label_json(lab), entries]).encode())
     return h.hexdigest()
@@ -105,7 +105,7 @@ def sorted_face_digest(system) -> str:
     for n in range(1, system.max_degree + 1):
         for i in range(n + 1):
             mats = sorted(system.face_matrix(n, i, lab).to_entries()
-                          for lab in system.labels_at(n, i))
+                          for lab in system.labels[(n, i)])
             h.update(json.dumps([n, i, mats]).encode())
     return h.hexdigest()
 
@@ -190,7 +190,7 @@ def test_returned_columns_are_owned_by_the_caller(construction):
         ref = system.face_matrix(n, i)
         entries = ref.to_entries()
         cols = columns(ref)
-        for lab in system.labels_at(n, i):
+        for lab in system.labels[(n, i)]:
             for x in range(system.dims[n]):
                 unit = {x: system.field.one}
                 col = system.apply_face(n, i, lab, unit)

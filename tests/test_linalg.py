@@ -1,11 +1,13 @@
 """Exact linear algebra against the dense Fraction oracle."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lambda_homology import linalg
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
     Matrix,
@@ -19,6 +21,7 @@ from lambda_homology.linalg import (
     rank_and_kernel,
 )
 
+from conftest import dense_rows, matrix_of
 from oracles import (
     columns,
     kernel_dense,
@@ -36,7 +39,7 @@ F7 = PrimeField(7)
 
 
 def dense_of(m: Matrix):
-    return [[Fraction(str(x)) for x in row] for row in m.to_dense()]
+    return [[Fraction(str(x)) for x in row] for row in dense_rows(m)]
 
 
 def vec_dense(vec: dict, n: int):
@@ -44,8 +47,7 @@ def vec_dense(vec: dict, n: int):
 
 
 def vec_sparse(field, lst):
-    return {i: field.from_int(int(v)) if isinstance(v, int) else v
-            for i, v in enumerate(lst) if v}
+    return {i: v for i, v in enumerate(lst) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +58,10 @@ def vec_sparse(field, lst):
 def test_matrix_constructors_agree():
     entries = [(0, 1, Fraction(2)), (1, 0, Fraction(-1))]
     a = Matrix.from_entries(Q, 2, 2, entries)
-    b = Matrix.from_dense(Q, [[0, 2], [-1, 0]])
+    b = matrix_of(Q, [[0, 2], [-1, 0]])
     assert a == b
-    assert a.to_dense() == [[0, 2], [-1, 0]]
-    assert Matrix.identity(Q, 3).to_dense() == [
+    assert dense_rows(a) == [[0, 2], [-1, 0]]
+    assert dense_rows(Matrix.identity(Q, 3)) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -79,7 +81,7 @@ def test_from_columns_keeps_rows_only():
 
 def test_known_kernel():
     # x + y + z = 0 has the plane spanned by (1, -1, 0) and (1, 0, -1)
-    m = Matrix.from_dense(Q, [[1, 1, 1]])
+    m = matrix_of(Q, [[1, 1, 1]])
     r, ker = rank_and_kernel(m)
     assert r == 1
     assert ker.dim == 2
@@ -89,7 +91,7 @@ def test_known_kernel():
 
 
 def test_rank_of_singular_square():
-    m = Matrix.from_dense(Q, [[1, 2], [2, 4]])
+    m = matrix_of(Q, [[1, 2], [2, 4]])
     assert rank(m) == 1
 
 
@@ -145,7 +147,7 @@ def q_matrix(draw, max_dim=5):
     cells = draw(st.dictionaries(
         st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
         st.integers(-4, 4).filter(bool), max_size=12))
-    entries = [(r, c, Q.from_int(v)) for (r, c), v in cells.items()]
+    entries = [(r, c, v) for (r, c), v in cells.items()]
     return Matrix.from_entries(Q, nrows, ncols, entries)
 
 
@@ -218,13 +220,13 @@ def shaped_matrix(draw):
         values = st.integers(-4, 4).filter(bool)
     else:
         values = st.integers(1, field.p - 1)
-    entries = [(r, c, field.from_int(draw(values))) for r, c in chosen]
+    entries = [(r, c, draw(values)) for r, c in chosen]
     return Matrix.from_entries(field, nrows, ncols, entries)
 
 
 @given(shaped_matrix())
 def test_rank_does_not_depend_on_orientation(m):
-    dense = m.to_dense()
+    dense = dense_rows(m)
     if m.field.kind == "Q":
         expect = rank_dense([[Fraction(x) for x in row] for row in dense])
     else:
@@ -271,7 +273,7 @@ def test_elimination_engines_agree(case, full):
         engines.append(_rref_dense_fp_numpy)
     results = [engine(field, [dict(r) for r in rows], ncols, full)
                for engine in engines]
-    dense = Matrix(field, len(rows), ncols, rows).to_dense()
+    dense = dense_rows(Matrix(field, len(rows), ncols, rows))
     if field is Q:
         expect = rank_dense([[Fraction(x) for x in row] for row in dense])
     else:
@@ -289,7 +291,7 @@ def test_elimination_engines_agree(case, full):
 
 def oracle_rref(field, rows, ncols):
     """The dense oracle's reduced form of sparse rows, as sparse rows."""
-    dense = Matrix(field, len(rows), ncols, rows).to_dense()
+    dense = dense_rows(Matrix(field, len(rows), ncols, rows))
     if field is Q:
         red, pivots = rref_dense([[Fraction(x) for x in row] for row in dense])
     else:
@@ -357,17 +359,21 @@ def test_rank_path_pivots_match_oracle(case):
             == Subspace.from_vectors(field, ncols, oracle_rows))
 
 
-class CountingField(PrimeField):
-    """A prime field that counts the pivot rows ``cancel`` clears after
-    they became pivot rows (the calls that keep the row index)."""
+@pytest.fixture
+def back_clears(monkeypatch):
+    """Counts the pivot rows ``_rref_sparse`` clears after they became
+    pivot rows: the pivots it pops out of its column -> pivots index, each
+    cleared once by the new pivot row of that column."""
+    count = [0]
 
-    def __init__(self, p):
-        super().__init__(p)
-        self.back_cleared = 0
+    class CountingIndex(defaultdict):
+        def pop(self, *args):
+            held = super().pop(*args)
+            count[0] += len(held)
+            return held
 
-    def cancel(self, dst, src, col, key, colindex=None, dst_id=None):
-        self.back_cleared += colindex is not None
-        super().cancel(dst, src, col, key, colindex, dst_id)
+    monkeypatch.setattr(linalg, "defaultdict", CountingIndex)
+    return count
 
 
 def dependent_system(field):
@@ -387,27 +393,27 @@ def dependent_system(field):
     return rows, ncols
 
 
-def test_sparse_system_with_many_dependent_rows():
+def test_sparse_system_with_many_dependent_rows(back_clears):
     """The dependent system over F_2147483629: the reduced form clears many
     pivot rows after the fact and still equals the dense engine's and the
     oracle's."""
-    field = CountingField(2147483629)
+    field = F_BIG
     rows, ncols = dependent_system(field)
     got = _rref_sparse(field, [dict(r) for r in rows], ncols, True)
-    assert field.back_cleared > 50
+    assert back_clears[0] > 50
     assert got == _rref_dense_python(field, [dict(r) for r in rows], ncols, True)
     assert got == oracle_rref(field, rows, ncols)
     assert len(got[1]) == rank_dense_mod(
-        Matrix(field, len(rows), ncols, rows).to_dense(), field.p)
+        dense_rows(Matrix(field, len(rows), ncols, rows)), field.p)
 
 
-def test_rank_path_never_changes_a_pivot_row():
+def test_rank_path_never_changes_a_pivot_row(back_clears):
     """On the same system ``full=False`` clears no pivot row once chosen,
     and still finds the oracle's pivots."""
-    field = CountingField(2147483629)
+    field = F_BIG
     rows, ncols = dependent_system(field)
     _, pivots = _rref_sparse(field, [dict(r) for r in rows], ncols, False)
-    assert field.back_cleared == 0
+    assert back_clears[0] == 0
     assert pivots == oracle_rref(field, rows, ncols)[1]
 
 
@@ -421,7 +427,7 @@ def test_rank_path_never_changes_a_pivot_row():
      [0, 0, 0, 0, 3, 0, 0, 0, 0, 0]],
 ], ids=["dense", "sparse"])
 def test_eliminations_leave_callers_rows_unchanged(field, dense):
-    m = Matrix.from_dense(field, [[field.from_int(x) for x in row] for row in dense])
+    m = matrix_of(field, dense)
     rows = [dict(r) for r in m.rows]
     before = [dict(r) for r in rows]
     rank(m)
@@ -470,7 +476,7 @@ def test_matvec_agrees_with_column_apply(m):
 
 @given(q_matrix())
 def test_matrix_ring_ops_match_dense(m):
-    assert m.mul(Matrix.zeros(Q, m.ncols, m.ncols)).is_zero()
+    assert m.mul(Matrix.from_entries(Q, m.ncols, m.ncols, ())).is_zero()
     prod = m.mul(Matrix.identity(Q, m.ncols))
     assert prod == m
 
@@ -521,7 +527,7 @@ def test_prime_field_projector(m):
 
 def test_rational_vs_prime_rank_can_differ():
     # 2x = 0 is singular mod 2 but invertible over the rationals
-    m_q = Matrix.from_dense(Q, [[2]])
+    m_q = matrix_of(Q, [[2]])
     m_2 = Matrix.from_entries(PrimeField(2), 1, 1, [(0, 0, 2 % 2)])
     assert rank(m_q) == 1
     assert rank(m_2) == 0

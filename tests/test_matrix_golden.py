@@ -1,7 +1,8 @@
 """Golden digests of the matrix-extension tables.
 
 Each case hashes ``json.dumps(payload, sort_keys=True)`` where the payload
-holds ``algebra_to_json`` of M_l(A), ``bimodule_to_json`` of M_l(M) and the
+holds the spec (``conftest.algebra_to_json``) of M_l(A), that of M_l(M)
+(``conftest.bimodule_to_json``) and the
 ``to_entries()`` of both corner embeddings, for A the upper-triangular 2x2
 algebra (not commutative) and M either its regular bimodule (not symmetric)
 or the explicit two-dimensional bimodule below, over Q and F_7 at sizes 1
@@ -17,14 +18,14 @@ import pytest
 
 from lambda_homology.algebras import (
     Bimodule,
-    algebra_to_json,
     bimodule_from_json,
-    bimodule_to_json,
     matrix_algebra,
     matrix_bimodule,
     upper_triangular_2x2,
 )
 from lambda_homology.fields import RATIONALS, PrimeField
+
+from conftest import algebra_to_json, bimodule_to_json
 
 FIELDS = {"Q": RATIONALS, "F7": PrimeField(7)}
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from lambda_homology.algebras import Bimodule, group_algebra, symmetric_group_table
+from lambda_homology.algebras import Bimodule, group_algebra
 from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import (
     higher_hochschild_system,
@@ -18,18 +18,25 @@ from lambda_homology.simplicial import circle
 from lambda_homology import systems
 from lambda_homology.systems import (
     LambdaMorphism,
-    LambdaSystem,
     ThetaComplex,
     check_lambda_morphism,
     compute_theta,
     homology_quotients,
     induced_theta_map,
     maximality_probe,
-    trivial_system,
     validate_subcomplex,
 )
 
-from conftest import dense_matrix, dense_span, dense_table_of, same_span
+from conftest import (
+    candidate_system,
+    dense_matrix,
+    dense_span,
+    dense_table_of,
+    matrix_of,
+    same_span,
+    symmetric_group_table,
+    trivial_system,
+)
 from test_condition_golden import build as build_golden_case
 from oracles import (
     boundary_dense, chain_betti_dense, circle_candidates_dense, columns, tensor_dims,
@@ -52,19 +59,13 @@ Q = Rationals()
 
 def toy_system():
     mats = {
-        (1, 0): [Matrix.from_dense(Q, [[1, 0]]), Matrix.from_dense(Q, [[1, 1]])],
-        (1, 1): [Matrix.from_dense(Q, [[0, 1]])],
+        (1, 0): [matrix_of(Q, [[1, 0]]), matrix_of(Q, [[1, 1]])],
+        (1, 1): [matrix_of(Q, [[0, 1]])],
         (2, 0): [Matrix.identity(Q, 2)],
         (2, 1): [Matrix.identity(Q, 2)],
         (2, 2): [Matrix.identity(Q, 2)],
     }
-    labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
-
-    def column_fn(n, i, lab, codes):
-        cols = columns(mats[(n, i)][lab])
-        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
-
-    return LambdaSystem(Q, 2, (1, 2, 2), labels, column_fn, label="toy")
+    return candidate_system(Q, (1, 2, 2), mats, label="toy")
 
 
 def test_toy_theta_matches_hand_computation():
@@ -102,11 +103,11 @@ def test_toy_validate_and_probe():
 
 def test_trivial_system_wraps_plain_matrices():
     mats = {
-        (1, 0): Matrix.from_dense(Q, [[1, 0]]),
-        (1, 1): Matrix.from_dense(Q, [[0, 0]]),
+        (1, 0): matrix_of(Q, [[1, 0]]),
+        (1, 1): matrix_of(Q, [[0, 0]]),
     }
     sys_ = trivial_system(Q, (1, 2), mats, label="wrapped")
-    assert sys_.labels_at(1, 0) == (0,)
+    assert sys_.labels[(1, 0)] == (0,)
     theta = compute_theta(sys_)
     # nothing constrains a single-candidate chain complex shape here
     assert theta.dims() == [1, 2]
@@ -130,7 +131,7 @@ def _oracle_cross_check(algebra, table, max_degree):
     # reference (identity permutation) first
     for n in range(1, max_degree + 1):
         for i in range(n + 1):
-            labs = sys_.labels_at(n, i)
+            labs = sys_.labels[(n, i)]
             assert len(labs) == 2
             got = [dense_matrix(sys_.face_matrix(n, i, lab)) for lab in labs]
             assert got == cands[(n, i)]
@@ -168,6 +169,15 @@ def test_m2_circle_frozen_values(m2):
     assert theta.betti() == [4, 0, 7]
 
 
+def test_m2_circle_depth_six(m2):
+    """The deepest case cheap enough for every run (about 2 s): degree 6,
+    ambient 4^7 = 16384, frozen from the reduced-form elimination."""
+    sys_ = higher_hochschild_system(m2, Bimodule.regular(m2), circle(6))
+    theta = compute_theta(sys_)
+    assert theta.dims() == [4, 13, 38, 104, 272, 688, 1696]
+    assert theta.betti() == [4, 0, 7, 0, 11, 0]
+
+
 def test_theta_of_classical_system_is_full(upper):
     # one candidate per position and honest simplicial faces: nothing is cut
     sys_ = hochschild_system(upper, Bimodule.regular(upper), 3)
@@ -199,11 +209,11 @@ def test_boundary_squares_to_zero_on_theta(upper):
 
 
 def _broken_square_theta(top_basis):
-    z12, z23 = Matrix.zeros(Q, 1, 2), Matrix.zeros(Q, 2, 3)
+    z12, z23 = matrix_of(Q, [[0, 0]]), matrix_of(Q, [[0, 0, 0]] * 2)
     faces = {
         (1, 0): Matrix.identity(Q, 1), (1, 1): Matrix.identity(Q, 1),
-        (2, 0): Matrix.from_dense(Q, [[1, 0]]), (2, 1): z12, (2, 2): z12,
-        (3, 0): Matrix.from_dense(Q, [[0, 1, 1], [0, 0, 0]]),
+        (2, 0): matrix_of(Q, [[1, 0]]), (2, 1): z12, (2, 2): z12,
+        (3, 0): matrix_of(Q, [[0, 1, 1], [0, 0, 0]]),
         (3, 1): z23, (3, 2): z23, (3, 3): z23,
     }
     sys_ = trivial_system(Q, (1, 1, 2, 3), faces)
@@ -339,7 +349,7 @@ def test_built_faces_keep_rows_until_a_column_is_asked(upper):
     of the unit vectors, zero columns included."""
     sys_ = hochschild_system(upper, Bimodule.regular(upper), 2)
     for n, i in ((1, 0), (2, 1), (2, 2)):
-        lab = sys_.reference_label(n, i)
+        lab = sys_.labels[(n, i)][0]
         face = sys_._build_face(n, i, lab)
         assert not hasattr(face, "__dict__") and not hasattr(face, "column")
         cols = face.transpose().rows
@@ -377,7 +387,7 @@ def test_induced_maps_of_identity_and_zero(request, algebra):
     theta = compute_theta(sys_)
     betti = theta.betti()
     ident = LambdaMorphism.identity(sys_, sys_)
-    zero = LambdaMorphism(sys_, sys_, [Matrix.zeros(Q, d, d) for d in sys_.dims])
+    zero = LambdaMorphism(sys_, sys_, [Matrix.from_entries(Q, d, d, ()) for d in sys_.dims])
     for mor, expect in ((ident, betti), (zero, [0] * len(betti))):
         maps = induced_theta_map(mor, theta, theta)["homology_maps"]
         assert [h["rank"] for h in maps] == expect
@@ -430,16 +440,10 @@ def test_induced_map_on_theta(dual):
 
 def _line_system(d0_candidates):
     mats = {
-        (1, 0): [Matrix.from_dense(Q, [row]) for row in d0_candidates],
-        (1, 1): [Matrix.zeros(Q, 1, 2)],
+        (1, 0): [matrix_of(Q, [row]) for row in d0_candidates],
+        (1, 1): [matrix_of(Q, [[0, 0]])],
     }
-    labels = {pos: tuple(range(len(ms))) for pos, ms in mats.items()}
-
-    def column_fn(n, i, lab, codes):
-        cols = columns(mats[(n, i)][lab])
-        return [(x, 0, cols[x].items()) for x in codes if cols[x]]
-
-    return LambdaSystem(Q, 1, (1, 2), labels, column_fn)
+    return candidate_system(Q, (1, 2), mats)
 
 
 @pytest.mark.parametrize("broken, message", [
@@ -454,7 +458,7 @@ def test_induced_map_checks_name_degree_and_basis_row(broken, message):
     else:
         tgt = src
         mor = LambdaMorphism(src, tgt, [Matrix.identity(Q, 1),
-                                        Matrix.from_dense(Q, [[1, 0], [0, 2]])])
+                                        matrix_of(Q, [[1, 0], [0, 2]])])
     th_src, th_tgt = compute_theta(src), compute_theta(tgt)
     assert th_src.dims() == [1, 2]
     assert th_tgt.dims() == ([1, 1] if broken == "target" else [1, 2])
@@ -488,7 +492,7 @@ def _block_order(system, n, violation):
     cond = violation["condition"]
     if cond == "agreement":
         i = violation["position"]
-        labs = [systems.label_json(lab) for lab in system.labels_at(n, i)]
+        labs = [systems.label_json(lab) for lab in system.labels[(n, i)]]
         return 0, i, labs.index(violation["candidate"])
     if cond == "closure":
         return 1, violation["position"]
