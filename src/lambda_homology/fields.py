@@ -9,10 +9,12 @@ the row is done, so a ``Fraction`` appears only where the reduced form is
 not integral.  ``fractions`` (which loads ``decimal``) is imported on
 first use.  Arithmetic may still yield an integral ``Fraction``, which
 compares, hashes and prints like the equal ``int``, so no code needs to
-tell the two apart.  Over a prime field scalars are ints kept canonical in
-``[0, p)``.  The field objects supply scalar arithmetic, parsing of
-``"a/b"`` strings, and the plain row kernels the elimination code runs
-hot; the elimination keeps its own index of which rows hold which column.
+tell the two apart.  Over a prime field a scalar is an int kept in one
+range of representatives, balanced about zero for large p (see
+``PrimeField``), and printed in ``[0, p)``.  The field objects supply
+scalar arithmetic, parsing of ``"a/b"`` strings, and the plain row
+kernels the elimination code runs hot; the elimination keeps its own
+index of which rows hold which column.
 """
 
 from __future__ import annotations
@@ -188,7 +190,17 @@ class Rationals:
 
 
 class PrimeField:
-    """The field with p elements, p prime; scalars are ints in [0, p)."""
+    """The field with p elements, p prime.
+
+    A scalar is the one int in (h - p, h] of its residue class, and every
+    operation reduces its result there inline (w % p, then w - p if
+    w > h).  For p from 2**15 on h = p // 2, so the range is balanced
+    about zero: -1 is stored as -1, and the +-1 structure constants of the
+    shipped constructions stay ints of one 30-bit digit, where p - 1 can
+    take two.  Below 2**15 h = p - 1, the range is [0, p), and every
+    product of two representatives already fits one digit.  ``fmt``
+    prints the value in [0, p) either way.
+    """
 
     kind = "Fp"
 
@@ -201,6 +213,7 @@ class PrimeField:
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime", p=p)
         self.p = p
+        self.h = p // 2 if p >= 1 << 15 else p - 1
         self.zero = 0
         self.one = 1 % p
 
@@ -213,32 +226,38 @@ class PrimeField:
                 literal=str(s),
                 p=self.p,
             )
-        return (frac.numerator * pow(den, -1, self.p)) % self.p
+        p = self.p
+        w = frac.numerator * pow(den, -1, p) % p
+        return w - p if w > self.h else w
 
     def fmt(self, x) -> str:
-        return str(x)
+        return str(x % self.p)
 
     def add(self, a, b):
-        return (a + b) % self.p
+        w = (a + b) % self.p
+        return w - self.p if w > self.h else w
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        w = a * b % self.p
+        return w - self.p if w > self.h else w
 
     def neg(self, a):
-        return (-a) % self.p
+        w = -a % self.p
+        return w - self.p if w > self.h else w
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
+        w = pow(a, -1, self.p)
+        return w - self.p if w > self.h else w
 
     def axpy_row(self, dst: dict, src: dict, c) -> None:
-        p = self.p
+        p, h = self.p, self.h
         get = dst.get
         for k, v in src.items():
             w = (get(k, 0) + c * v) % p
             if w:
-                dst[k] = w
+                dst[k] = w - p if w > h else w
             elif k in dst:
                 del dst[k]
 
@@ -248,20 +267,25 @@ class PrimeField:
     def pivot_key(self, pv):
         """-1/pv, so that ``cancel`` finds its factor with one product; a
         pivot row's pivot entry never changes, so one key serves it."""
-        return self.p - pow(pv, -1, self.p)
+        p = self.p
+        w = -pow(pv, -1, p) % p
+        return w - p if w > self.h else w
 
     def cancel(self, dst: dict, src: dict, col: int, key) -> None:
         """Clear column ``col`` of ``dst``: dst += (dst[col] key) src."""
-        self.axpy_row(dst, src, dst[col] * key % self.p)
+        p = self.p
+        w = dst[col] * key % p
+        self.axpy_row(dst, src, w - p if w > self.h else w)
 
     def unit_pivot(self, row: dict, col: int) -> None:
         """Divide a row by its entry at ``col``."""
         pv = row[col]
         if pv != 1:
-            p = self.p
+            p, h = self.p, self.h
             c = pow(pv, -1, p)
             for k, v in row.items():
-                row[k] = v * c % p
+                w = v * c % p
+                row[k] = w - p if w > h else w
 
     def to_json(self) -> dict:
         return {"kind": "Fp", "p": self.p}

@@ -14,19 +14,23 @@ cleared out of the pivot rows that hold its leftmost column, found through
 a column -> pivots index the loop keeps itself (the form is unique, so the
 visiting order cannot change it).  A rank needs only an
 echelon form: each row is reduced until its leftmost column is new, and
-then becomes that column's pivot row for good.  Over Q elimination is
+then becomes that column's pivot row for good.  ``rank`` eliminates the
+shorter side of its matrix with that side's columns renumbered sparsest
+first, which leaves less fill and cannot change a rank; kernels and
+reduced forms keep the natural column order.  Over Q elimination is
 fraction-free: rows are primitive integer dicts, and a pivot row of the
 reduced form is divided by its pivot only at the end, giving ``Fraction``
 entries only where the reduced form is not integral.  The dense engines
 ``_rref_dense_python`` and ``_rref_dense_fp_numpy`` are kept for
-comparison (the engine tests and the benchmark trace use them); ``rref``
+comparison (the engine tests and the benchmark trace use them; both
+return the field's representatives, like the sparse engine); ``rref``
 calls neither, since the sparse engine is the faster one even on filled
 matrices.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -242,7 +246,7 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
     m = np.zeros((len(work), ncols), dtype=np.int64)
     for i, row in enumerate(work):
         for c, v in row.items():
-            m[i, c] = v
+            m[i, c] = v % p
     nrows = m.shape[0]
     piv_cols: list[int] = []
     r = 0
@@ -269,6 +273,7 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
         r += 1
         if r == nrows:
             break
+    m[m > field.h] -= p                    # the field's representatives
     out_rows = []
     for i in range(len(piv_cols)):
         nz = np.nonzero(m[i])[0]
@@ -459,11 +464,20 @@ def rank_and_kernel(m: Matrix) -> tuple[int, Subspace]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank, eliminated on the shorter side: rank(A) = rank(A^T)."""
+    """Rank, eliminated on the shorter side (rank(A) = rank(A^T)) with the
+    columns of that side renumbered sparsest first: by ascending nonzero
+    count, ties in their natural order (Dumas and Villard 2002).  A column
+    permutation does not change a rank, and a sparse column that leads
+    rows meets few rows to clear, so the echelon form fills in less."""
     if m.nrows > m.ncols:
-        rows, ncols = m.transpose().rows, m.nrows
+        # the columns of the transpose are the rows of m
+        rows = Matrix(m.field, m.nrows, m.ncols, sorted(m.rows, key=len)).transpose().rows
+        ncols = m.nrows
     else:
-        rows, ncols = [dict(r) for r in m.rows if r], m.ncols
+        count = Counter(c for row in m.rows for c in row)
+        new = dict(zip(sorted(range(m.ncols), key=count.__getitem__), range(m.ncols)))
+        rows = [{new[c]: v for c, v in row.items()} for row in m.rows if row]
+        ncols = m.ncols
     _, pivots = rref(m.field, rows, ncols, full=False)
     return len(pivots)
 

@@ -250,7 +250,8 @@ def test_sphere2_report_digest(tmp_path, case):
 M2_OVER_K = {"builtin": "matrix", "size": 2, "inner": {"builtin": "ground_field"}}
 
 # SHA-256 of the full stdout of each command; the upper-triangular algebra's
-# regular actions differ on the left and the right.
+# regular actions differ on the left and the right.  Over F_2147483629 the
+# bases hold p - 1, printed in [0, p) whatever the field stores.
 CLI_REPORTS = {
     "witness-w": (
         (["verify", "witness", "--kind", "w", "--max-degree", "2"], None),
@@ -266,6 +267,10 @@ CLI_REPORTS = {
         (["homology", "--emit-bases", "--field", "fp:7"],
          {"builtin": "upper_triangular"}),
         "049533bbceb264dd853d3c500849f6ed005461c191526afa97e440315bd5b438"),
+    "upper-circle3-fbig-bases": (
+        (["homology", "--emit-bases", "--field", "fp:2147483629"],
+         {"builtin": "upper_triangular"}),
+        "292f00de09bc0041183a7d9a313f3e78554465412423d4504a9ae46dfe16ca42"),
 }
 
 

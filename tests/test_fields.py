@@ -163,6 +163,44 @@ def test_prime_field_laws(a, b):
         assert f.mul(b, f.inv(b)) == 1
 
 
+@pytest.mark.parametrize("p", [2, 7, 2147483629])
+@given(st.data())
+def test_prime_field_keeps_one_range_of_representatives(p, data):
+    """Every operation returns a scalar in (h - p, h]: [0, p) below 2**15,
+    balanced about zero from there on; ``fmt`` prints it in [0, p)."""
+    f = PrimeField(p)
+    assert f.h == (p - 1 if p < 2**15 else p // 2)
+    seen = []
+
+    def held(*xs):
+        seen.extend(xs)
+        return all(type(x) is int and f.h - p < x <= f.h for x in xs)
+
+    big = st.integers(-2 * p, 2 * p)
+    unit = big.filter(lambda x: x % p)
+    raw = data.draw(st.lists(big, min_size=3, max_size=3))
+    a, b, c = (f.parse(str(x)) for x in raw)
+    assert [x % p for x in (a, b, c)] == [x % p for x in raw]
+    den = data.draw(st.integers(1, 2 * p).filter(lambda x: x % p))
+    assert held(a, b, c, f.zero, f.one, f.parse(f"{raw[0]}/{den}"))
+    assert held(f.add(a, b), f.mul(a, b), f.neg(a))
+    if a:
+        assert held(f.inv(a), f.pivot_key(a))
+    rows = st.dictionaries(st.integers(0, 5), unit.map(lambda x: f.add(0, x)),
+                           min_size=1, max_size=6)
+    dst, src = data.draw(rows), data.draw(rows)
+    f.axpy_row(dst, src, c)
+    assert held(*dst.values())
+    col = min(src)
+    dst.setdefault(col, f.one)
+    f.cancel(dst, src, col, f.pivot_key(src[col]))
+    assert col not in dst and held(*dst.values())
+    f.unit_pivot(src, col)
+    assert src[col] == 1 and held(*src.values())
+    for x in seen:
+        assert f.fmt(x) == str(x % p) and 0 <= int(f.fmt(x)) < p
+
+
 @given(st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
                        max_size=6),
        st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
