@@ -734,6 +734,11 @@ def compare_systems(left: LambdaSystem, right: LambdaSystem,
     are listed so degenerate indexings are visible next to rich ones.
     """
     depth = min(left.max_degree, right.max_degree)
+
+    def index_sizes(system):
+        return {f"{n},{i}": len(labs)
+                for (n, i), labs in sorted(system.labels.items()) if n <= depth}
+
     report = {
         "max_degree": depth,
         "left": left.label,
@@ -741,14 +746,8 @@ def compare_systems(left: LambdaSystem, right: LambdaSystem,
         "first_difference": None,
         "dims_left": list(left.dims[: depth + 1]),
         "dims_right": list(right.dims[: depth + 1]),
-        "index_sizes_left": {
-            k: v for k, v in left.index_sizes().items()
-            if int(k.split(",")[0]) <= depth
-        },
-        "index_sizes_right": {
-            k: v for k, v in right.index_sizes().items()
-            if int(k.split(",")[0]) <= depth
-        },
+        "index_sizes_left": index_sizes(left),
+        "index_sizes_right": index_sizes(right),
     }
     if left.dims[: depth + 1] != right.dims[: depth + 1]:
         for n in range(depth + 1):

@@ -293,7 +293,10 @@ def rref(field, rows: Sequence[dict], ncols: int, full: bool = True):
     pivots come back strictly increasing with their rows in matching
     order.  The caller hands the row dicts over, each a distinct dict:
     they are eliminated in place, not copied, and their contents are
-    unspecified afterwards.  Pass copies to keep the rows.
+    unspecified afterwards.  Pass copies to keep the rows.  Entries must
+    be the field's own scalars, as ``parse`` and the field's arithmetic
+    return them: an entry the elimination never touches comes back as
+    given, and nothing checks it.
     """
     work = [r for r in rows if r]
     if not work or ncols == 0:
@@ -352,6 +355,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim: int, vectors: Sequence[dict]) -> "Subspace":
+        """The span of the vectors; entries must be field scalars (``rref``)."""
         rows, pivots = rref(field, [dict(v) for v in vectors if v], ambient_dim, full=True)
         return cls._from_rref(field, ambient_dim, rows, pivots)
 
@@ -493,7 +497,8 @@ def kernel_of_rows_raw(field, rows: Sequence[dict], ncols: int) -> Subspace:
     The pivots of the result are the free columns of the constraint system.
     This avoids a second elimination pass on large kernels; callers that
     need the canonical basis call canonicalize().  As with ``rref``, the
-    caller hands the row dicts over and they are eliminated in place.
+    caller hands the row dicts over and they are eliminated in place, and
+    their entries must be the field's own scalars.
     """
     rr, pivots = rref(field, rows, ncols, full=True)
     if not pivots:

@@ -21,10 +21,10 @@ One evaluator, ``column_fn``, gives a face's columns at any basis codes:
 faces are built whole from all of them and kept by rows, and
 ``apply_face`` reads a vector's support only, for ambients too large to
 build.  Every built matrix is applied to a stack of vectors by one
-product with their rows.  Each boundary is built once and kept;
-``homology`` takes its ranks on theta coordinates, and the ambient images
-of a basis are computed only when an induced map asks for them
-(``boundary_image_rows``).
+product with their rows.  Each boundary is built once and kept.  The
+boundary of theta has one representation, ``boundary_image_rows``: the
+images of a basis in theta_{n-1} coordinates, which the ranks, the cycles
+and the induced maps all read; no ambient image of a basis is kept.
 """
 
 from __future__ import annotations
@@ -166,9 +166,6 @@ class LambdaSystem:
         for (n, i), labs in self.labels.items():
             caps.check_index_size(n, i, len(labs))
 
-    def index_sizes(self) -> dict:
-        return {f"{n},{i}": len(labs) for (n, i), labs in sorted(self.labels.items())}
-
     def __repr__(self):
         tag = self.label or "system"
         return f"LambdaSystem({tag}, dims={list(self.dims)})"
@@ -249,7 +246,6 @@ class ThetaComplex:
     def __init__(self, system: LambdaSystem, subspaces: list[Subspace]):
         self.system = system
         self.subspaces = subspaces
-        self._image_rows_cache: dict[int, list[dict]] = {}
         self._ranks: list[int] | None = None
 
     @property
@@ -263,22 +259,21 @@ class ThetaComplex:
         return [s.dim for s in self.subspaces]
 
     def boundary_image_rows(self, n: int) -> list[dict]:
-        """Ambient images of the basis under the boundary, one per basis row.
+        """The boundary images of theta_n's basis rows in theta_{n-1}
+        coordinates, computed on each call and not kept.
 
-        All face candidates agree on the subcomplex, so the reference faces
-        compute the restricted boundary without choosing coordinates.  The
-        images serve the induced maps: they are computed on the first call
-        and kept; ``homology`` never asks.  The basis is multiplied by the
-        cached boundary's transpose, and a full basis (the identity) is not
-        multiplied at all.
+        The reference faces compute the boundary, as all candidates agree
+        on theta.  Theta is closed under it (``compute_theta``'s closure
+        rows), so an image lies in theta_{n-1}, whose basis is an identity
+        pattern at its pivots: the image's entries there are its
+        coefficients.  A row is the basis row times the transpose of the
+        boundary's rows at those pivots, keyed by ambient column.
         """
-        cached = self._image_rows_cache.get(n)
-        if cached is None:
-            columns = self.system.boundary_matrix(n).transpose()
-            sub = self.subspaces[n]
-            cached = (columns if sub.is_full else sub.basis.mul(columns)).rows
-            self._image_rows_cache[n] = cached
-        return cached
+        bnd = self.system.boundary_matrix(n)
+        keep = set(self.subspaces[n - 1].pivots)
+        picked = [r if p in keep else {} for p, r in enumerate(bnd.rows)]
+        at_pivots = Matrix(bnd.field, bnd.nrows, bnd.ncols, picked)
+        return self.subspaces[n].basis.mul(at_pivots.transpose()).rows
 
     def check_boundary_squares_to_zero(self, n: int | None = None) -> None:
         """Exact check that the boundary composes to zero: from degree ``n``
@@ -303,25 +298,18 @@ class ThetaComplex:
         boundary squares to zero in its degree; each call returns a fresh
         report.
 
-        Each rank is taken on theta_{n-1} coordinates.  This needs the
-        subspaces closed under the boundary, as ``compute_theta``'s closure
-        rows make them: then every image lies in theta_{n-1}, where its
-        entries at the basis pivots fix it, so the rank is that of the basis
-        times the boundary's rows at those pivots, transposed.  No ambient
-        image is formed; the matrix keeps the ambient column count.
+        Each rank is that of ``boundary_image_rows(n)``: restricting
+        theta_{n-1} to its pivots is injective, so it is the rank of the
+        ambient images.  The matrix keeps the ambient column count.
         """
         f = self.system.field
         n_max = self.max_degree
         if self._ranks is None:
             ranks = [0] * (n_max + 2)
             for n in range(1, n_max + 1):
-                bnd = self.system.boundary_matrix(n)
                 self.check_boundary_squares_to_zero(n)
-                keep = set(self.subspaces[n - 1].pivots)
-                picked = [r if p in keep else {} for p, r in enumerate(bnd.rows)]
-                at_pivots = Matrix(f, bnd.nrows, bnd.ncols, picked)
-                rows = self.subspaces[n].basis.mul(at_pivots.transpose()).rows
-                ranks[n] = rank(Matrix(f, len(rows), bnd.nrows, rows))
+                rows = self.boundary_image_rows(n)
+                ranks[n] = rank(Matrix(f, len(rows), self.system.dims[n - 1], rows))
             self._ranks = ranks
         ranks = self._ranks
         entries = []
@@ -523,8 +511,8 @@ def homology_quotients(theta: ThetaComplex, up_to: int) -> list[list[dict]]:
     """Cycle rows of degrees 0..up_to (inclusive), in ambient coordinates.
 
     Degree 0 is the whole basis.  Above it the cycles are the kernel of the
-    boundary images (``boundary_image_rows``) on the basis coefficients,
-    mapped back onto the basis once.
+    boundary images (``boundary_image_rows``, injective on theta_{n-1}) on
+    the basis coefficients, mapped back onto the basis once.
     """
     f = theta.system.field
     out = [list(theta.subspaces[0].basis.rows)]
@@ -554,26 +542,29 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
     """Restrict a certified morphism to the subcomplexes and to homology.
 
     Verifies degree by degree, lowest first, by row products in ambient
-    coordinates: the rows of B_n . F_n^T (B_n the source basis, F_n the
-    map) lie in the target subcomplex, and the rows of S_n . F_{n-1}^T
-    (S_n the source's boundary images) equal those of (B_n . F_n^T) . d_n^T
-    (d_n the target's boundary).  A failure names the degree and the first
-    basis row; an escape signals a broken certificate.  The image of H_n is
-    (f(Z_src) + B_tgt) / B_tgt, so its rank is the rank of the rows of
-    Z_n . F_n^T (Z_n the source cycles) stacked on the target's boundary
-    image rows, minus the target's rank of d_{n+1}.
+    coordinates that assume no closure: the rows of B_n . F_n^T (B_n the
+    source basis, F_n the map) lie in the target subcomplex, and the rows
+    of (B_n . D_n^T) . F_{n-1}^T (D_n the source's boundary) equal those of
+    (B_n . F_n^T) . d_n^T (d_n the target's).  A failure names the degree
+    and the first basis row; an escape signals a broken certificate.  The
+    image of H_n is (f(Z_src) + B_tgt) / B_tgt, so its rank is the rank of
+    the rows of Z_n . F_n^T (Z_n the source cycles) at the target's theta_n
+    pivots, stacked on the target's ``boundary_image_rows(n + 1)``, minus
+    the target's rank of d_{n+1}.
     """
     depth = min(mor.max_degree, theta_src.max_degree, theta_tgt.max_degree)
     f = mor.source.field
     table_src = theta_src.homology()["entries"]
     table_tgt = theta_tgt.homology()["entries"]
     for n in range(depth + 1):
-        img = _images(mor.matrices[n], theta_src.subspaces[n].basis.rows)
+        basis = theta_src.subspaces[n].basis.rows
+        img = _images(mor.matrices[n], basis)
         tgt = theta_tgt.subspaces[n]
         _fail_at_first((not tgt.contains(v) for v in img),
                        "morphism image escapes the target subcomplex", n)
         if n:
-            via_src = _images(mor.matrices[n - 1], theta_src.boundary_image_rows(n))
+            via_src = _images(mor.matrices[n - 1],
+                              _images(theta_src.system.boundary_matrix(n), basis))
             via_tgt = _images(theta_tgt.system.boundary_matrix(n), img)
             _fail_at_first(map(ne, via_src, via_tgt),
                            "morphism does not commute with the boundary", n)
@@ -587,7 +578,9 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
     if valid >= 0:
         cycles = homology_quotients(theta_src, valid)
         for n in range(valid + 1):
-            rows = _images(mor.matrices[n], cycles[n])
+            keep = set(theta_tgt.subspaces[n].pivots)
+            rows = [{c: v for c, v in row.items() if c in keep}
+                    for row in _images(mor.matrices[n], cycles[n])]
             rows.extend(theta_tgt.boundary_image_rows(n + 1))
             stacked = Matrix(f, len(rows), theta_tgt.system.dims[n], rows)
             r = rank(stacked) - table_tgt[n]["rank_d_n_plus_1"]

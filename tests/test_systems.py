@@ -272,26 +272,63 @@ def test_each_boundary_is_built_once_and_squared_in_any_degree(dual):
         assert sys_.boundary_matrix(n) is bnd
 
 
-@pytest.mark.parametrize("case", ["dual", "upper", "m2", "s3/Fp", "sphere2/upper"])
-def test_theta_coordinate_ranks_equal_ambient_ranks(request, case):
-    """``homology()`` ranks each boundary on the pivot coordinates of
-    theta_{n-1}; on the shipped constructions every rank equals the rank of
-    the full ambient image rows."""
+def _case_system(request, case):
+    """The regular bimodule's system on circle(3), or on the 2-sphere to
+    depth 3 for a ``sphere2/`` case; ``s3/Fp`` is S3 over F_2147483629."""
     if case == "s3/Fp":
         a = group_algebra(PrimeField(2147483629), symmetric_group_table(3))
     else:
         a = request.getfixturevalue(case.split("/")[-1])
     m = Bimodule.regular(a)
     if case.startswith("sphere2"):
-        sys_ = sphere2_system(a, m, 3)
-    else:
-        sys_ = higher_hochschild_system(a, m, circle(3))
+        return sphere2_system(a, m, 3)
+    return higher_hochschild_system(a, m, circle(3))
+
+
+def _ambient_images(theta, n):
+    """B_n . d_n^T: the boundary images of theta_n's basis, ambient."""
+    bnd = theta.system.boundary_matrix(n)
+    return theta.subspaces[n].basis.mul(bnd.transpose()).rows
+
+
+@pytest.mark.parametrize("case", ["m2", "upper", "s3/Fp", "sphere2/upper"])
+def test_boundary_image_rows_are_theta_coordinates(request, case):
+    """Each row of ``boundary_image_rows(n)`` is keyed by theta_{n-1}'s
+    pivots only, and spread over theta_{n-1}'s basis (the sum of row[p]
+    times the basis row with pivot p) it is the ambient image of its basis
+    row, computed here from the boundary matrix."""
+    theta = compute_theta(_case_system(request, case))
+    f = theta.system.field
+    proper = nonzero = False
+    for n in range(1, theta.max_degree + 1):
+        lower = theta.subspaces[n - 1]
+        row_at = dict(zip(lower.pivots, lower.basis.rows))
+        rows = theta.boundary_image_rows(n)
+        ambient = _ambient_images(theta, n)
+        assert len(rows) == len(ambient) == theta.dim(n)
+        for row, amb in zip(rows, ambient):
+            assert set(row) <= row_at.keys()
+            spread: dict = {}
+            for p, v in row.items():
+                f.axpy_row(spread, row_at[p], v)
+            assert spread == amb
+            nonzero = nonzero or bool(row)
+        proper = proper or not lower.is_full
+    assert proper and nonzero
+
+
+@pytest.mark.parametrize("case", ["dual", "upper", "m2", "s3/Fp", "sphere2/upper"])
+def test_theta_coordinate_ranks_equal_ambient_ranks(request, case):
+    """``homology()`` ranks each boundary on the pivot coordinates of
+    theta_{n-1}; on the shipped constructions every rank equals the rank of
+    the full ambient image rows, built here from the boundary matrix."""
+    sys_ = _case_system(request, case)
     theta = compute_theta(sys_)
     entries = theta.homology()["entries"]
     ranks = [e["rank_d_n"] for e in entries] + [entries[-1]["rank_d_n_plus_1"]]
     ambient = [0]
     for n in range(1, theta.max_degree + 1):
-        rows = theta.boundary_image_rows(n)
+        rows = _ambient_images(theta, n)
         ambient.append(rank(Matrix(sys_.field, len(rows), sys_.dims[n - 1], rows)))
     assert ranks == ambient
     if case != "dual":   # a proper theta_{n-1}, so entries were dropped
@@ -359,9 +396,14 @@ def test_built_faces_keep_rows_until_a_column_is_asked(upper):
         assert any(not c for c in cols)
 
 
-def test_homology_quotients_classify_cycles(dual):
-    sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(3))
+@pytest.mark.parametrize("algebra", ["dual", "m2"])
+def test_homology_quotients_classify_cycles(request, algebra):
+    """The cycles span the ambient boundary images, built here from the
+    boundary matrix; for M_2(k) theta_1 is a proper subspace."""
+    a = request.getfixturevalue(algebra)
+    sys_ = higher_hochschild_system(a, Bimodule.regular(a), circle(3))
     theta = compute_theta(sys_)
+    assert algebra == "dual" or not theta.subspaces[1].is_full
     table = theta.homology()["entries"]
     cycles = homology_quotients(theta, 2)
     assert len(cycles) == 3
@@ -371,7 +413,7 @@ def test_homology_quotients_classify_cycles(dual):
             assert theta.subspaces[n].contains(z)
             assert n == 0 or sys_.apply_boundary(n, z) == {}
         cycle_span = Subspace.from_vectors(Q, amb, rows)
-        for b in theta.boundary_image_rows(n + 1):
+        for b in _ambient_images(theta, n + 1):
             assert cycle_span.contains(b)
         assert rank(Matrix(Q, len(rows), amb, rows)) == len(rows)
         assert len(rows) - table[n]["rank_d_n_plus_1"] == table[n]["betti"]
@@ -478,7 +520,7 @@ def test_caps_are_enforced(dual):
 
 def test_index_sizes_shape(dual):
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(2))
-    sizes = sys_.index_sizes()
+    sizes = {f"{n},{i}": len(labs) for (n, i), labs in sys_.labels.items()}
     assert sizes == {"1,0": 2, "1,1": 2, "2,0": 2, "2,1": 2, "2,2": 2}
 
 
