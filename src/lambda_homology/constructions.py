@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 
 from .algebras import (
     Algebra,
@@ -140,10 +141,20 @@ def _basis_products(a: Algebra, m: Bimodule | None = None,
 
 def _strided(specs, codes) -> list:
     """The sum of ``code // stride % modulus * weight`` over the ``(stride,
-    modulus, weight)`` specs, for every code in ``codes``."""
+    modulus, weight)`` specs, for every code in ``codes``.  Over a whole
+    face's codes, ``range(total)``, a term cycles through its ``modulus``
+    values, each repeated ``stride`` times, so no code is divided."""
     sums = [0] * len(codes)
+    whole = isinstance(codes, range) and codes.start == 0 and codes.step == 1
     for stride, modulus, weight in specs:
-        sums = [t + c // stride % modulus * weight for t, c in zip(sums, codes)]
+        if whole:
+            terms = itertools.cycle([v * weight for v in range(modulus)])
+            if stride > 1:
+                terms = itertools.chain.from_iterable(
+                    map(itertools.repeat, terms, itertools.repeat(stride)))
+            sums = list(map(add, sums, terms))
+        else:
+            sums = [t + c // stride % modulus * weight for t, c in zip(sums, codes)]
     return sums
 
 

@@ -8,7 +8,10 @@ equal subspaces have syntactically identical bases and equality is a plain
 comparison.
 
 ``rref`` runs one sparse engine, one loop over the rows, shortest row
-first.  For the reduced echelon form each row is reduced in one pass
+first within a block (a list of rows is one block; ``Blocks`` hands
+blocks over as a caller builds them).  A row that reduces to zero is
+cleared at once, since CPython never shrinks a dict whose entries are
+deleted.  For the reduced echelon form each row is reduced in one pass
 against the reduced pivot rows found so far, and a row that survives is
 cleared out of the pivot rows that hold its leftmost column, found through
 a column -> pivots index the loop keeps itself (the form is unique, so the
@@ -140,18 +143,37 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref_sparse(field, work: list[dict], ncols: int, full: bool):
-    # With ``full`` one pass against the reduced pivot rows reduces a row
-    # (they are zero at each other's pivots); without it a pivot row is
-    # never touched again, since an echelon form is enough for a rank.
-    for row in work:
-        field.make_integral(row)
+class Blocks:
+    """Row blocks handed to one elimination as they are built: ``rref``
+    reduces a block before it asks for the next.  The blocks are iterated
+    once; ``len`` counts the rows taken so far."""
+
+    def __init__(self, blocks: Iterable[list[dict]]):
+        self._blocks = iter(blocks)
+        self._taken = 0
+
+    def __iter__(self):
+        for block in self._blocks:
+            self._taken += len(block)
+            yield block
+
+    def __len__(self) -> int:
+        return self._taken
+
+
+def _rref_sparse(field, work, ncols: int, full: bool):
+    # ``work`` is a list of rows (one block) or ``Blocks``.  With ``full``
+    # one pass against the reduced pivot rows reduces a row (they are zero
+    # at each other's pivots); without it a pivot row is never touched
+    # again, since an echelon form is enough for a rank.
+    blocks = work if isinstance(work, Blocks) else (work,)
     key_of = field.pivot_key
     cancel = field.cancel
     row_at: dict[int, dict] = {}           # pivot column -> its row
     keys: dict[int, object] = {}
     holders = defaultdict(set)             # column -> pivots whose row has it
-    for row in sorted(work, key=len):
+    for row in (row for block in blocks for row in sorted(block, key=len)):
+        field.make_integral(row)
         if full:
             for c in [c for c in row if c in row_at]:
                 cancel(row, row_at[c], c, keys[c])
@@ -159,6 +181,7 @@ def _rref_sparse(field, work: list[dict], ncols: int, full: bool):
             while row and (c := min(row)) in row_at:
                 cancel(row, row_at[c], c, keys[c])
         if not row:
+            row.clear()                    # an emptied dict keeps its table
             continue
         col = min(row)
         key = keys[col] = key_of(row[col])
@@ -281,34 +304,35 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
     return out_rows, tuple(piv_cols)
 
 
-def rref(field, rows: Sequence[dict], ncols: int, full: bool = True):
+def rref(field, rows, ncols: int, full: bool = True):
     """Row-reduce sparse rows; returns (echelon rows, pivot columns).
 
-    Either way the rows are visited shortest first.  With ``full=True``
-    the result is the reduced row-echelon form (unique); with
-    ``full=False`` each row is reduced only until its leftmost column is
-    no other row's pivot, which gives an echelon form, enough for ranks:
-    the pivots are the same and the rows are not scaled to a unit pivot
-    (over Q they are primitive integer rows).  Zero rows are dropped;
-    pivots come back strictly increasing with their rows in matching
-    order.  The caller hands the row dicts over, each a distinct dict:
-    they are eliminated in place, not copied, and their contents are
-    unspecified afterwards.  Pass copies to keep the rows.  Entries must
-    be the field's own scalars, as ``parse`` and the field's arithmetic
-    return them: an entry the elimination never touches comes back as
-    given, and nothing checks it.
+    ``rows`` is a list of rows, reduced as one block, or ``Blocks``, whose
+    blocks are reduced in turn as they are built.  Either way the rows of a
+    block are visited shortest first; the reduced form is unique, so the
+    order cannot change it.  With ``full=True`` the result is the reduced
+    row-echelon form; with ``full=False`` each row is reduced only until
+    its leftmost column is no other row's pivot, which gives an echelon
+    form, enough for ranks: the pivots are the same and the rows are not
+    scaled to a unit pivot (over Q they are primitive integer rows).
+    Pivots come back strictly increasing with their rows in matching order.
+    The caller hands the row dicts over, each a distinct dict: they are
+    eliminated in place, not copied.  A row that reduces to zero comes back
+    cleared, its memory released at once; the others are unspecified
+    afterwards.  Pass copies to keep the rows.  Entries must be the field's
+    own scalars, as ``parse`` and the field's arithmetic return them: an
+    entry the elimination never touches comes back as given, and nothing
+    checks it.
     """
-    work = [r for r in rows if r]
-    if not work or ncols == 0:
-        return [], ()
-    return _rref_sparse(field, work, ncols, full)
+    return _rref_sparse(field, rows, ncols, full)
 
 
 def kernel_rows_from_rref(field, rref_rows: list[dict], pivots: tuple, ncols: int) -> list[dict]:
     """Standard kernel basis read off a reduced echelon form.
 
     One vector per free column f: 1 at f and minus row[f] at the pivot of
-    each echelon row, filled in by a single pass over the rows.
+    each echelon row, filled in by a single pass over the rows; each
+    echelon row is cleared once read.
     """
     pivset = set(pivots)
     one = field.one
@@ -319,6 +343,7 @@ def kernel_rows_from_rref(field, rref_rows: list[dict], pivots: tuple, ncols: in
             vec = by_free.get(c)
             if vec is not None:
                 vec[pcol] = neg(a)
+        row.clear()
     return list(by_free.values())
 
 
@@ -472,17 +497,21 @@ def rank(m: Matrix) -> int:
     columns of that side renumbered sparsest first: by ascending nonzero
     count, ties in their natural order (Dumas and Villard 2002).  A column
     permutation does not change a rank, and a sparse column that leads
-    rows meets few rows to clear, so the echelon form fills in less."""
+    rows meets few rows to clear, so the echelon form fills in less.  The
+    elimination runs on that copy without holding the argument: its rows
+    stay unchanged, and a matrix nobody else holds is freed first."""
+    field = m.field
     if m.nrows > m.ncols:
         # the columns of the transpose are the rows of m
-        rows = Matrix(m.field, m.nrows, m.ncols, sorted(m.rows, key=len)).transpose().rows
+        rows = Matrix(field, m.nrows, m.ncols, sorted(m.rows, key=len)).transpose().rows
         ncols = m.nrows
     else:
         count = Counter(c for row in m.rows for c in row)
         new = dict(zip(sorted(range(m.ncols), key=count.__getitem__), range(m.ncols)))
         rows = [{new[c]: v for c, v in row.items()} for row in m.rows if row]
         ncols = m.ncols
-    _, pivots = rref(m.field, rows, ncols, full=False)
+    del m
+    _, pivots = rref(field, rows, ncols, full=False)
     return len(pivots)
 
 
@@ -491,14 +520,16 @@ def kernel_of_rows(field, rows: Sequence[dict], ncols: int) -> Subspace:
     return kernel_of_rows_raw(field, [dict(r) for r in rows if r], ncols).canonicalize()
 
 
-def kernel_of_rows_raw(field, rows: Sequence[dict], ncols: int) -> Subspace:
+def kernel_of_rows_raw(field, rows, ncols: int) -> Subspace:
     """Like kernel_of_rows but keeps the kernel-shaped basis uncanonicalized.
 
     The pivots of the result are the free columns of the constraint system.
     This avoids a second elimination pass on large kernels; callers that
     need the canonical basis call canonicalize().  As with ``rref``, the
-    caller hands the row dicts over and they are eliminated in place, and
-    their entries must be the field's own scalars.
+    rows are a list or ``Blocks``, the caller hands the row dicts over and
+    their entries must be the field's own scalars.  A row that reduces to
+    zero or becomes a pivot row comes back cleared, the pivot rows once the
+    kernel has been read off them.
     """
     rr, pivots = rref(field, rows, ncols, full=True)
     if not pivots:

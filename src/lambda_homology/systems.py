@@ -7,15 +7,19 @@ candidates at each position agree, (ii) face images stay inside the lower
 subspace, and (iii) the pre-simplicial identities d_i d_j = d_{j-1} d_i
 (i < j) hold.  Those three conditions only reference lower degrees, so the
 subcomplex is computed bottom-up, degree by degree, as the kernel of one
-stacked linear system per degree:
+linear system per degree, with rows of three kinds:
 
 * agreement rows:   d_i^a - d_i^ref for every non-reference candidate a;
 * closure rows:     (projector killing the lower subspace) . d_i^ref;
 * identity rows:    d_i^ref d_j^ref - d_{j-1}^ref d_i^ref for i < j.
 
 ``_condition_blocks`` builds these rows block by block for both
-``compute_theta`` and ``maximality_probe``; the probe reads the first block
-each excluded unit vector breaks off the column supports of the blocks.
+``compute_theta`` and ``maximality_probe``.  ``compute_theta`` hands the
+blocks to one elimination as they are built (``linalg.Blocks``), so the
+rows of a block that reduce to zero are released before the next block
+exists, and the pivot rows once the kernel is read off them.  The probe
+reads the first block each excluded unit vector breaks off the column
+supports of the blocks.
 
 One evaluator, ``column_fn``, gives a face's columns at any basis codes:
 faces are built whole from all of them and kept by rows, and
@@ -35,6 +39,7 @@ from operator import ne
 from .config import DEFAULT_CAPS
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .linalg import (
+    Blocks,
     Matrix,
     Subspace,
     kernel_of_rows_raw,
@@ -222,21 +227,17 @@ def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace):
 def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS) -> "ThetaComplex":
     """The unique maximal subcomplex, degree by degree.
 
-    Degree 0 is the full space.  Each higher degree solves the stacked
-    agreement/closure/identity system relative to the degree below; the
+    Degree 0 is the full space.  Each higher degree is the kernel of the
+    agreement/closure/identity rows relative to the degree below, their
+    blocks eliminated as ``_condition_blocks`` yields them; the
     kernel-shaped basis is kept as-is and canonicalized lazily.
     """
     system.check_caps(caps)
     f = system.field
     subspaces = [Subspace.full(f, system.dims[0])]
     for n in range(1, system.max_degree + 1):
-        amb = system.dims[n]
-        rows = [r for _, block in _condition_blocks(system, n, subspaces[n - 1])
-                for r in block]
-        if rows:
-            subspaces.append(kernel_of_rows_raw(f, rows, amb))
-        else:
-            subspaces.append(Subspace.full(f, amb))
+        blocks = (rows for _, rows in _condition_blocks(system, n, subspaces[n - 1]))
+        subspaces.append(kernel_of_rows_raw(f, Blocks(blocks), system.dims[n]))
     return ThetaComplex(system, subspaces)
 
 
@@ -300,7 +301,9 @@ class ThetaComplex:
 
         Each rank is that of ``boundary_image_rows(n)``: restricting
         theta_{n-1} to its pivots is injective, so it is the rank of the
-        ambient images.  The matrix keeps the ambient column count.
+        ambient images.  The matrix keeps the ambient column count, and no
+        name holds it, so the images are freed once ``rank`` has copied
+        them and are not kept through the elimination.
         """
         f = self.system.field
         n_max = self.max_degree
@@ -308,8 +311,8 @@ class ThetaComplex:
             ranks = [0] * (n_max + 2)
             for n in range(1, n_max + 1):
                 self.check_boundary_squares_to_zero(n)
-                rows = self.boundary_image_rows(n)
-                ranks[n] = rank(Matrix(f, len(rows), self.system.dims[n - 1], rows))
+                ranks[n] = rank(Matrix(f, self.dim(n), self.system.dims[n - 1],
+                                       self.boundary_image_rows(n)))
             self._ranks = ranks
         ranks = self._ranks
         entries = []

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import symmetric_group_table
 from test_face_golden import TWISTED
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -193,6 +194,29 @@ def test_index_cap_stops_before_enumerating(tmp_path, construction, degree,
     assert body["message"] == "candidate set exceeds cap"
     assert body["details"]["degree"] == first_over
     assert peak_kib < 60 * 1024
+
+
+def test_s3_circle_four_homology_peak_rss(tmp_path):
+    """``homology`` of S3 on circle(4) over F_2147483629, top ambient 7776:
+    theta's condition blocks eliminated as they are built, with rows
+    released once they reduce to zero or the kernel is read off them, keep
+    the CLI's peak RSS under 41 MB (45.2 MB with every condition row of a
+    degree stacked before its elimination)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "construction": "higher_hochschild",
+        "algebra": {"builtin": "group_algebra", "table": symmetric_group_table(3)},
+        "simplicial": {"builtin": "circle"}, "max_degree": 4,
+    }))
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", SPAWN_AND_MEASURE, "homology", str(spec),
+         "--field", "fp:2147483629"],
+        capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=300)
+    code, peak_kib = map(int, r.stderr.split()[-2:])
+    assert code == 0, r.stdout + r.stderr
+    assert [e["betti"] for e in json.loads(r.stdout)["entries"]] == [6, 0, 7, 0]
+    assert peak_kib < 41 * 1024
 
 
 @pytest.mark.parametrize("flag, value", [

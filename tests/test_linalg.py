@@ -1,6 +1,7 @@
 """Exact linear algebra against the dense Fraction oracle."""
 
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from lambda_homology import linalg
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import (
+    Blocks,
     Matrix,
     Subspace,
     _rref_dense_fp_numpy,
@@ -19,6 +21,7 @@ from lambda_homology.linalg import (
     kernel_of_rows_raw,
     rank,
     rank_and_kernel,
+    rref,
 )
 
 from conftest import dense_rows, matrix_of
@@ -378,6 +381,50 @@ def test_rank_path_pivots_match_oracle(case):
         assert all(c not in later for later in out[i + 1:])
     assert (Subspace.from_vectors(field, ncols, out)
             == Subspace.from_vectors(field, ncols, oracle_rows))
+
+
+def released(row: dict) -> bool:
+    """Empty and cleared: a dict emptied by deleting its entries keeps its
+    table, one cleared is as small as a new one."""
+    return not row and sys.getsizeof(row) == sys.getsizeof({})
+
+
+@settings(no_shrink, max_examples=150)
+@given(reduction_case(), st.data())
+def test_blocks_in_any_split_and_order_match_one_list_and_oracle(case, data):
+    """The same rows, shuffled and cut into blocks (empty ones included),
+    give the reduced form and pivots of the one-list call and of the
+    oracle, and the kernel read off them.  Below full rank every row is
+    visited, and each comes back released: a zero row at once, a pivot row
+    once the kernel has been read off it."""
+    field, rows, ncols = case
+    order = data.draw(st.permutations(range(len(rows))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    bounds = list(zip([0, *cuts], [*cuts, len(rows)]))
+
+    def blocks(copies):
+        return Blocks(copies[a:b] for a, b in bounds)
+
+    one = rref(field, [dict(r) for r in rows], ncols)
+    got = rref(field, blocks([dict(rows[i]) for i in order]), ncols)
+    oracle = oracle_rref(field, rows, ncols)
+    assert got == one == oracle
+
+    oracle_rows, pivots = oracle
+    free = tuple(c for c in range(ncols) if c not in pivots)
+    oracle_kernel = [{f: field.one, **{p: field.neg(row[f])
+                                       for p, row in zip(pivots, oracle_rows) if f in row}}
+                     for f in free]
+    copies = [dict(rows[i]) for i in order]
+    streamed = blocks(copies)
+    kernel = kernel_of_rows_raw(field, streamed, ncols)
+    assert kernel.pivots == free
+    assert kernel.basis.rows == oracle_kernel
+    assert kernel_of_rows_raw(field, [dict(r) for r in rows], ncols).basis.rows == oracle_kernel
+    assert len(streamed) <= len(rows)
+    if len(pivots) < ncols:
+        assert len(streamed) == len(rows)
+        assert all(released(r) for r in copies)
 
 
 @pytest.fixture

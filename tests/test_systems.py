@@ -364,9 +364,12 @@ def test_dihedral_group_ranks_on_circle(perm):
 
 
 def test_s3_homology_heap_peak():
-    """S3 on circle(3) over F_2147483629: faces kept by rows only and ranks
-    on theta coordinates keep the traced heap of compute_theta and homology
-    below 3.5 MB (4.57 MB with per-column face dicts and ambient image rows
+    """S3 on circle(3) over F_2147483629: the condition blocks eliminated
+    as they are built, rows released once they reduce to zero or the kernel
+    is read off them, and ranks that do not hold the image rows they copied
+    keep the traced heap of compute_theta and homology below 2.1 MB (2.31
+    MB with every condition row of a degree stacked before its
+    elimination, 4.57 MB with per-column face dicts and ambient image rows
     cached in homology)."""
     a = group_algebra(PrimeField(2147483629), symmetric_group_table(3))
     sys_ = higher_hochschild_system(a, Bimodule.regular(a), circle(3))
@@ -377,7 +380,23 @@ def test_s3_homology_heap_peak():
     finally:
         tracemalloc.stop()
     assert [e["betti"] for e in report["entries"]] == [6, 0, 7]
-    assert peak < 3.5e6
+    assert peak < 2.1e6
+
+
+def test_m2_circle_five_theta_heap_peak(m2):
+    """M_2(k) on circle(5) over Q: 4096-dimensional top ambient, whose
+    condition rows mostly reduce to zero.  Released as they do, block by
+    block, they keep the traced heap of compute_theta below 8.5 MB (10.09
+    MB with every row of a degree stacked before the elimination)."""
+    sys_ = higher_hochschild_system(m2, Bimodule.regular(m2), circle(5))
+    tracemalloc.start()
+    try:
+        theta = compute_theta(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert theta.dims() == [4, 13, 38, 104, 272, 688]
+    assert peak < 8.5e6
 
 
 def test_built_faces_keep_rows_until_a_column_is_asked(upper):
