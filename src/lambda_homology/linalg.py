@@ -15,11 +15,14 @@ deleted.  For the reduced echelon form each row is reduced in one pass
 against the reduced pivot rows found so far, and a row that survives is
 cleared out of the pivot rows that hold its leftmost column, found through
 a column -> pivots index the loop keeps itself (the form is unique, so the
-visiting order cannot change it).  A rank needs only an
-echelon form: each row is reduced until its leftmost column is new, and
-then becomes that column's pivot row for good.  ``rank`` eliminates the
-shorter side of its matrix with that side's columns renumbered sparsest
-first, which leaves less fill and cannot change a rank; kernels and
+visiting order cannot change it).  The index only grows, and an entry whose
+row has since lost the column is skipped when the column is read.  A rank
+needs only an echelon form: each row is reduced until its leftmost column
+is new, and then becomes that column's pivot row for good.  ``rank``
+eliminates the side of its matrix with fewer nonempty lines, that side's
+columns renumbered sparsest first, which leaves less fill and cannot change
+a rank; ``rank_and_basis_rows`` also deletes given columns and names the
+rows that a transposed elimination finds to be a basis.  Kernels and
 reduced forms keep the natural column order.  Over Q elimination is
 fraction-free: rows are primitive integer dicts, and a pivot row of the
 reduced form is divided by its pivot only at the end, giving ``Fraction``
@@ -86,12 +89,18 @@ class Matrix:
         return all(not r for r in self.rows)
 
     def to_entries(self) -> list[list]:
-        """Sorted (row, col, str) triples for serialization."""
+        """Sorted (row, col, str) triples for serialization; each distinct
+        scalar is formatted once and its string shared."""
         fmt = self.field.fmt
+        strs: dict = {}
         out = []
         for r, row in enumerate(self.rows):
             for c in sorted(row):
-                out.append([r, c, fmt(row[c])])
+                v = row[c]
+                s = strs.get(v)
+                if s is None:
+                    s = strs[v] = fmt(v)
+                out.append([r, c, s])
         return out
 
     # ---------------------------------------------------------- arithmetic
@@ -165,13 +174,14 @@ def _rref_sparse(field, work, ncols: int, full: bool):
     # ``work`` is a list of rows (one block) or ``Blocks``.  With ``full``
     # one pass against the reduced pivot rows reduces a row (they are zero
     # at each other's pivots); without it a pivot row is never touched
-    # again, since an echelon form is enough for a rank.
+    # again, since an echelon form is enough for a rank.  ``holders`` only
+    # grows: a pivot whose row lost the column since is skipped when read.
     blocks = work if isinstance(work, Blocks) else (work,)
     key_of = field.pivot_key
     cancel = field.cancel
     row_at: dict[int, dict] = {}           # pivot column -> its row
     keys: dict[int, object] = {}
-    holders = defaultdict(set)             # column -> pivots whose row has it
+    holders = defaultdict(list)            # column -> pivots whose row had it
     for row in (row for block in blocks for row in sorted(block, key=len)):
         field.make_integral(row)
         if full:
@@ -189,17 +199,17 @@ def _rref_sparse(field, work, ncols: int, full: bool):
         if full:
             for pc in holders.pop(col, ()):
                 prow = row_at[pc]
+                if col not in prow:
+                    continue               # cleared out of it since
+                # only the columns of ``row`` can enter ``prow``; ``col``
+                # leaves it and is held by no row from now on
+                fill = [c for c in row if c not in prow]
                 cancel(prow, row, col, key)
-                # only the columns of ``row`` can enter or leave ``prow``;
-                # ``col`` left it and is held by no row from now on
-                for c in row:
-                    if c in prow:
-                        holders[c].add(pc)
-                    elif c != col:
-                        holders[c].discard(pc)
+                for c in fill:
+                    holders[c].append(pc)
             for c in row:
                 if c != col:
-                    holders[c].add(col)
+                    holders[c].append(col)
         if len(row_at) == ncols:
             break
     pivots = sorted(row_at)
@@ -493,26 +503,49 @@ def rank_and_kernel(m: Matrix) -> tuple[int, Subspace]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank, eliminated on the shorter side (rank(A) = rank(A^T)) with the
-    columns of that side renumbered sparsest first: by ascending nonzero
-    count, ties in their natural order (Dumas and Villard 2002).  A column
-    permutation does not change a rank, and a sparse column that leads
-    rows meets few rows to clear, so the echelon form fills in less.  The
-    elimination runs on that copy without holding the argument: its rows
-    stay unchanged, and a matrix nobody else holds is freed first."""
+    """Rank of m; its rows stay unchanged (``rank_and_basis_rows``)."""
+    return rank_and_basis_rows(m)[0]
+
+
+def rank_and_basis_rows(m: Matrix, skip=()) -> tuple[int, tuple]:
+    """Rank of m with the columns in ``skip`` deleted, and the indices of
+    rows of m that form a basis of its row space when the transpose was
+    eliminated; none when the rows were.
+
+    The side eliminated is the one with fewer nonempty lines: the rows of m
+    if they are no more than its nonempty columns, else the transpose
+    (rank(A) = rank(A^T)).  The columns of that side are renumbered
+    sparsest first: by ascending nonzero count, ties in their natural
+    order (Dumas and Villard 2002).  A column permutation does not change
+    a rank, and a sparse column that leads rows meets few rows to clear, so
+    the echelon form fills in less.  The pivots of the transpose's echelon
+    form are then rows of m, none in the span of the rows before it in that
+    order.  The elimination runs on a copy without holding the argument:
+    its rows stay unchanged, and a matrix nobody else holds is freed first.
+    """
     field = m.field
-    if m.nrows > m.ncols:
-        # the columns of the transpose are the rows of m
-        rows = Matrix(field, m.nrows, m.ncols, sorted(m.rows, key=len)).transpose().rows
-        ncols = m.nrows
+    cols = set().union(*m.rows)
+    cols.difference_update(skip)
+    if m.nrows > len(cols):
+        # the columns of the transpose are the rows of m, sparsest first
+        lengths = [len(row) for row in m.rows]
+        order = sorted(range(m.nrows), key=lengths.__getitem__)
+        at = {c: {} for c in sorted(cols)}
+        for k, r in enumerate(order):
+            for c, v in m.rows[r].items():
+                if c in at:
+                    at[c][k] = v
+        rows, ncols = list(at.values()), m.nrows
+        del at
     else:
-        count = Counter(c for row in m.rows for c in row)
-        new = dict(zip(sorted(range(m.ncols), key=count.__getitem__), range(m.ncols)))
-        rows = [{new[c]: v for c, v in row.items()} for row in m.rows if row]
-        ncols = m.ncols
+        order = ()
+        count = Counter(c for row in m.rows for c in row if c in cols)
+        new = {c: k for k, c in enumerate(sorted(cols, key=lambda c: (count[c], c)))}
+        rows = [{new[c]: v for c, v in row.items() if c in new} for row in m.rows if row]
+        ncols = len(new)
     del m
     _, pivots = rref(field, rows, ncols, full=False)
-    return len(pivots)
+    return len(pivots), tuple(order[k] for k in pivots) if order else ()
 
 
 def kernel_of_rows(field, rows: Sequence[dict], ncols: int) -> Subspace:

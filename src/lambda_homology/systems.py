@@ -25,10 +25,13 @@ One evaluator, ``column_fn``, gives a face's columns at any basis codes:
 faces are built whole from all of them and kept by rows, and
 ``apply_face`` reads a vector's support only, for ambients too large to
 build.  Every built matrix is applied to a stack of vectors by one
-product with their rows.  Each boundary is built once and kept.  The
-boundary of theta has one representation, ``boundary_image_rows``: the
-images of a basis in theta_{n-1} coordinates, which the ranks, the cycles
-and the induced maps all read; no ambient image of a basis is kept.
+product with their rows.  Each boundary is built once and kept;
+``compute_theta`` builds them while the reference faces are at hand and
+keeps no face past the degree after its own.  The boundary of theta has
+one representation, ``boundary_image_rows``: the images of a basis in
+theta_{n-1} coordinates, which the ranks, the cycles and the induced maps
+all read; no ambient image of a basis is kept.  ``homology()`` ranks them
+with the coordinates that d_{n-1} d_n = 0 makes redundant deleted.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .linalg import (
     Subspace,
     kernel_of_rows_raw,
     rank,
+    rank_and_basis_rows,
 )
 
 __all__ = [
@@ -74,9 +78,10 @@ class LambdaSystem:
     the nonzero columns of that candidate at a list of basis codes, as
     ``(code, offset, terms)``: the column holds v in row offset + p for each
     ``(p, v)`` in terms, and a code with a zero column is left out.
-    Reference face matrices and boundaries are cached; non-reference
-    candidates are materialized on demand and dropped, since their number
-    can be factorial.
+    Boundaries are cached, and so are reference face matrices until
+    ``compute_theta`` has no more use for them; non-reference candidates
+    are materialized on demand and dropped, since their number can be
+    factorial.
     """
 
     def __init__(self, field, max_degree: int, dims, labels: dict,
@@ -106,7 +111,8 @@ class LambdaSystem:
         self._boundary_cache: dict = {}
 
     def face_matrix(self, n: int, i: int, lab=None) -> Matrix:
-        """The candidate's matrix; the reference candidate is cached."""
+        """The candidate's matrix; the reference candidate is cached, and
+        built again when asked for after ``compute_theta`` dropped it."""
         ref = self.labels[(n, i)][0]
         if lab is None:
             lab = ref
@@ -230,14 +236,22 @@ def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS) -> "ThetaComplex":
     Degree 0 is the full space.  Each higher degree is the kernel of the
     agreement/closure/identity rows relative to the degree below, their
     blocks eliminated as ``_condition_blocks`` yields them; the
-    kernel-shaped basis is kept as-is and canonicalized lazily.
+    kernel-shaped basis is kept as-is and canonicalized lazily.  Degree n's
+    boundary is built once its kernel is found, and degree n-1's reference
+    faces are dropped then, since only degree n's identity rows read them:
+    the system comes back holding every boundary and no reference face.
     """
     system.check_caps(caps)
     f = system.field
     subspaces = [Subspace.full(f, system.dims[0])]
+    faces = system._ref_cache
     for n in range(1, system.max_degree + 1):
         blocks = (rows for _, rows in _condition_blocks(system, n, subspaces[n - 1]))
         subspaces.append(kernel_of_rows_raw(f, Blocks(blocks), system.dims[n]))
+        system.boundary_matrix(n)
+        for i in range(n):                 # degree n + 1 reads degree n's only
+            faces.pop((n - 1, i), None)
+    faces.clear()
     return ThetaComplex(system, subspaces)
 
 
@@ -301,18 +315,29 @@ class ThetaComplex:
 
         Each rank is that of ``boundary_image_rows(n)``: restricting
         theta_{n-1} to its pivots is injective, so it is the rank of the
-        ambient images.  The matrix keeps the ambient column count, and no
-        name holds it, so the images are freed once ``rank`` has copied
-        them and are not kept through the elimination.
+        ambient images.  The columns at P are deleted first, P the pivots
+        of the theta_{n-1} basis rows that the rank of d_{n-1} names as a
+        basis of its images (``rank_and_basis_rows``; none when it
+        eliminated the rows).  Checked in degree n, d_{n-1} d_n = 0 says
+        that a coefficient vector c of an image has sum_j c_j d_{n-1}(b_j)
+        = 0, and each d_{n-1}(b_j) is a combination of those at P, so c at
+        P is a function of c outside P: the deletion keeps the rank.  The
+        matrix keeps the ambient column count, and no name holds it, so the
+        images are freed once they have been copied and are not kept
+        through the elimination.
         """
         f = self.system.field
         n_max = self.max_degree
         if self._ranks is None:
             ranks = [0] * (n_max + 2)
+            cut = ()
             for n in range(1, n_max + 1):
                 self.check_boundary_squares_to_zero(n)
-                ranks[n] = rank(Matrix(f, self.dim(n), self.system.dims[n - 1],
-                                       self.boundary_image_rows(n)))
+                ranks[n], rows = rank_and_basis_rows(
+                    Matrix(f, self.dim(n), self.system.dims[n - 1],
+                           self.boundary_image_rows(n)), cut)
+                pivots = self.subspaces[n].pivots
+                cut = {pivots[r] for r in rows}
             self._ranks = ranks
         ranks = self._ranks
         entries = []
@@ -343,6 +368,8 @@ class ThetaComplex:
         return [e["betti"] for e in self.homology()["entries"]]
 
     def to_json(self, emit_bases: bool = False) -> dict:
+        """The dims, and with ``emit_bases`` each degree's canonical basis,
+        which from then on replaces the kernel-shaped one."""
         out = {
             "field": self.system.field.to_json(),
             "system": self.system.label,
@@ -351,7 +378,10 @@ class ThetaComplex:
             "theta_dims": self.dims(),
         }
         if emit_bases:
-            out["bases"] = [s.to_json() for s in self.subspaces]
+            subspaces = self.subspaces
+            for n, sub in enumerate(subspaces):
+                subspaces[n] = sub.canonicalize()    # one basis per degree
+            out["bases"] = [sub.to_json() for sub in subspaces]
         return out
 
 
@@ -474,7 +504,9 @@ def check_lambda_morphism(mor: LambdaMorphism) -> dict:
 
     For each degree, position, and target candidate the first source
     candidate achieving matrix equality is recorded; failures list target
-    candidates with no match, and the check stops at the fifth.
+    candidates with no match, and the check stops at the fifth.  Every face
+    is built for the comparison and dropped, the reference ones included,
+    so that none is held once the check is done.
     """
     assignments = []
     failures = []
@@ -484,12 +516,12 @@ def check_lambda_morphism(mor: LambdaMorphism) -> dict:
         for i in range(n + 1):
             rhs_cache = {}
             for alpha in mor.target.labels[(n, i)]:
-                lhs = mor.target.face_matrix(n, i, alpha).mul(f_n)
+                lhs = mor.target._build_face(n, i, alpha).mul(f_n)
                 found = None
                 for beta in mor.source.labels[(n, i)]:
                     rhs = rhs_cache.get(beta)
                     if rhs is None:
-                        rhs = f_prev.mul(mor.source.face_matrix(n, i, beta))
+                        rhs = f_prev.mul(mor.source._build_face(n, i, beta))
                         rhs_cache[beta] = rhs
                     if lhs == rhs:
                         found = beta

@@ -177,11 +177,18 @@ def test_prime_field_keeps_one_range_of_representatives(p, data):
         return all(type(x) is int and f.h - p < x <= f.h for x in xs)
 
     big = st.integers(-2 * p, 2 * p)
-    unit = big.filter(lambda x: x % p)
+
+    def units(lo, hi):
+        """The integers in [lo * p, hi * p) prime to p, drawn unfiltered as
+        a residue in [1, p) plus a multiple of p."""
+        return st.builds(lambda r, k: r + k * p, st.integers(1, p - 1),
+                         st.integers(lo, hi - 1))
+
+    unit = units(-2, 2)
     raw = data.draw(st.lists(big, min_size=3, max_size=3))
     a, b, c = (f.parse(str(x)) for x in raw)
     assert [x % p for x in (a, b, c)] == [x % p for x in raw]
-    den = data.draw(st.integers(1, 2 * p).filter(lambda x: x % p))
+    den = data.draw(units(0, 2))
     assert held(a, b, c, f.zero, f.one, f.parse(f"{raw[0]}/{den}"))
     assert held(f.add(a, b), f.mul(a, b), f.neg(a))
     if a:

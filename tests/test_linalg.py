@@ -20,6 +20,7 @@ from lambda_homology.linalg import (
     kernel_of_rows,
     kernel_of_rows_raw,
     rank,
+    rank_and_basis_rows,
     rank_and_kernel,
     rref,
 )
@@ -243,14 +244,24 @@ def shaped_matrix(draw):
 
 
 @no_shrink
-@given(shaped_matrix())
-def test_rank_does_not_depend_on_orientation(m):
+@given(shaped_matrix(), st.data())
+def test_rank_does_not_depend_on_orientation(m, data):
+    """Either orientation gives the oracle's rank.  With any set of columns
+    deleted, ``rank_and_basis_rows`` gives the rank of the rest, and the
+    rows it names, when it names any, are a basis of their row space."""
+    def oracle(dense):
+        if m.field.kind == "Q":
+            return rank_dense([[Fraction(x) for x in row] for row in dense])
+        return rank_dense_mod(dense, m.field.p)
+
     dense = dense_rows(m)
-    if m.field.kind == "Q":
-        expect = rank_dense([[Fraction(x) for x in row] for row in dense])
-    else:
-        expect = rank_dense_mod(dense, m.field.p)
-    assert rank(m) == rank(m.transpose()) == expect
+    assert rank(m) == rank(m.transpose()) == oracle(dense)
+    skip = data.draw(st.sets(st.integers(0, m.ncols - 1)))
+    kept = [[x for c, x in enumerate(row) if c not in skip] for row in dense]
+    r, basis = rank_and_basis_rows(m, skip)
+    assert r == oracle(kept)
+    assert not basis or len(basis) == r == oracle([kept[i] for i in basis])
+    assert dense_rows(m) == dense
 
 
 @st.composite

@@ -1,10 +1,18 @@
 """The maximal-subcomplex computation against hand cases and the sweep oracle."""
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lambda_homology.algebras import Bimodule, group_algebra
+from lambda_homology.algebras import (
+    Bimodule,
+    ground_field_algebra,
+    group_algebra,
+    matrix_algebra,
+    upper_triangular_2x2,
+)
 from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import (
     higher_hochschild_system,
@@ -13,7 +21,7 @@ from lambda_homology.constructions import (
 )
 from lambda_homology.errors import InternalCheckError, ResourceCapError, ValidationError
 from lambda_homology.fields import PrimeField, Rationals
-from lambda_homology.linalg import Matrix, Subspace, rank
+from lambda_homology.linalg import Matrix, Subspace, rank, rank_and_basis_rows
 from lambda_homology.simplicial import circle
 from lambda_homology import systems
 from lambda_homology.systems import (
@@ -39,8 +47,8 @@ from conftest import (
 )
 from test_condition_golden import build as build_golden_case
 from oracles import (
-    boundary_dense, chain_betti_dense, circle_candidates_dense, columns, tensor_dims,
-    theta_sweep,
+    boundary_dense, chain_betti_dense, circle_candidates_dense, columns, rank_dense,
+    rank_dense_mod, tensor_dims, theta_sweep,
 )
 
 Q = Rationals()
@@ -243,8 +251,9 @@ def test_homology_is_computed_once(dual, monkeypatch):
     theta = compute_theta(
         higher_hochschild_system(dual, Bimodule.regular(dual), circle(3)))
     calls = []
-    real_rank = systems.rank
-    monkeypatch.setattr(systems, "rank", lambda m: calls.append(m) or real_rank(m))
+    real_rank = systems.rank_and_basis_rows
+    monkeypatch.setattr(systems, "rank_and_basis_rows",
+                        lambda m, skip: calls.append(m) or real_rank(m, skip))
     first = theta.homology()
     assert len(calls) == 3
     first["theta"] = {"changed": True}
@@ -256,12 +265,35 @@ def test_homology_is_computed_once(dual, monkeypatch):
     assert len(calls) == 3
 
 
+def test_emitted_bases_replace_the_kernel_shaped_ones(m2):
+    """With bases emitted, each degree keeps only its canonical basis, the
+    one emitted; each distinct scalar of a basis is printed to one shared
+    string; the report, and the homology read after it, are those of a
+    complex that keeps its kernel-shaped bases."""
+    def theta():
+        return compute_theta(higher_hochschild_system(m2, Bimodule.regular(m2), circle(3)))
+
+    kept, replaced = theta(), theta()
+    assert not all(s.canonicalize() is s for s in kept.subspaces)
+    report = replaced.to_json(emit_bases=True)
+    assert all(s.canonicalize() is s for s in replaced.subspaces)
+    assert report == {**kept.to_json(), "bases": [s.to_json() for s in kept.subspaces]}
+    assert replaced.homology() == kept.homology()
+    for basis in report["bases"]:
+        strs = [e[2] for e in basis["basis"]]
+        assert len({id(x) for x in strs}) == len(set(strs))
+
+
 def test_each_boundary_is_built_once_and_squared_in_any_degree(dual):
     """A system keeps each boundary it builds, for the homology ranks, the
-    square check and the induced maps alike; the square check runs in any
-    one degree, the lowest included."""
+    square check and the induced maps alike; ``compute_theta`` builds them
+    all and comes back holding no reference face, and a face asked for
+    later is built again.  The square check runs in any one degree, the
+    lowest included."""
     sys_ = hochschild_system(dual, Bimodule.regular(dual), 3)
     theta = compute_theta(sys_)
+    assert not sys_._ref_cache and sorted(sys_._boundary_cache) == [1, 2, 3]
+    assert sys_.face_matrix(2, 1) == sys_._build_face(2, 1, sys_.labels[(2, 1)][0])
     assert theta.check_boundary_squares_to_zero(2) is None
     assert theta.check_boundary_squares_to_zero(1) is None
     built = [sys_.boundary_matrix(n) for n in range(1, 4)]
@@ -335,6 +367,68 @@ def test_theta_coordinate_ranks_equal_ambient_ranks(request, case):
         assert not all(s.is_full for s in theta.subspaces[:-1])
 
 
+@pytest.fixture(scope="module", params=[
+    f"{shape}{algebra}/{field}" for shape in ("", "sphere2/")
+    for algebra in ("m2", "s3", "upper") if shape == "" or algebra != "s3"
+    for field in ("Q", "Fp")])
+def theta_and_oracle_ranks(request):
+    """Theta of the regular bimodule's system on circle(3), or on the
+    2-sphere to depth 3, over Q or F_2147483629; with the dense oracle's
+    rank of each degree's boundary images in theta coordinates."""
+    case, fname = request.param.rsplit("/", 1)
+    field = Q if fname == "Q" else PrimeField(2147483629)
+    name = case.split("/")[-1]
+    if name == "s3":
+        a = group_algebra(field, symmetric_group_table(3))
+    elif name == "m2":
+        a = matrix_algebra(ground_field_algebra(field), 2)[0]
+    else:
+        a = upper_triangular_2x2(field)
+    m = Bimodule.regular(a)
+    if case.startswith("sphere2"):
+        theta = compute_theta(sphere2_system(a, m, 3))
+    else:
+        theta = compute_theta(higher_hochschild_system(a, m, circle(3)))
+    oracle = [0]
+    for n in range(1, theta.max_degree + 1):
+        pivots = theta.subspaces[n - 1].pivots
+        dense = [[row.get(c, 0) for c in pivots] for row in theta.boundary_image_rows(n)]
+        if len(dense) > len(pivots):
+            dense = [list(col) for col in zip(*dense)]
+        if field is Q:
+            oracle.append(rank_dense([[Fraction(x) for x in row] for row in dense]))
+        else:
+            oracle.append(rank_dense_mod(dense, field.p))
+    return theta, oracle
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_ranks_cut_by_square_zero_equal_uncut_and_oracle_ranks(
+        theta_and_oracle_ranks, data):
+    """``homology()`` ranks d_n with the columns at P deleted: the pivot
+    coordinates of the theta_{n-1} basis rows that the rank of d_{n-1}
+    names as a basis of its images.  As d_{n-1} d_n = 0, an image
+    coordinate in P is a combination of those outside P, so in every degree
+    the cut rank is the uncut rank and the oracle's; so it is when the rows
+    of each degree's images are drawn in any order, which changes P."""
+    theta, oracle = theta_and_oracle_ranks
+    f = theta.system.field
+    entries = theta.homology()["entries"]
+    assert [e["rank_d_n"] for e in entries] + [entries[-1]["rank_d_n_plus_1"]] == oracle
+    cut, cut_sizes = (), []
+    for n in range(1, theta.max_degree + 1):
+        rows = theta.boundary_image_rows(n)
+        order = data.draw(st.permutations(range(len(rows))))
+        m = Matrix(f, len(rows), theta.system.dims[n - 1], [rows[k] for k in order])
+        r, basis = rank_and_basis_rows(m, cut)
+        assert r == rank(m) == oracle[n]
+        pivots = theta.subspaces[n].pivots
+        cut_sizes.append(len(cut))
+        cut = {pivots[order[k]] for k in basis}
+    assert any(cut_sizes)
+
+
 def dihedral4_table(perm):
     """Cayley table of D4 = <r, s | r^4 = s^2 = 1, s r = r^-1 s>, with
     r^k s^e as element perm[2k + e]."""
@@ -366,11 +460,12 @@ def test_dihedral_group_ranks_on_circle(perm):
 def test_s3_homology_heap_peak():
     """S3 on circle(3) over F_2147483629: the condition blocks eliminated
     as they are built, rows released once they reduce to zero or the kernel
-    is read off them, and ranks that do not hold the image rows they copied
-    keep the traced heap of compute_theta and homology below 2.1 MB (2.31
-    MB with every condition row of a degree stacked before its
-    elimination, 4.57 MB with per-column face dicts and ambient image rows
-    cached in homology)."""
+    is read off them, a pivot index of lists pruned as it is read, no
+    reference faces kept past theta, and ranks that do not hold the image
+    rows they copied keep the traced heap of compute_theta and homology
+    below 1.7 MB (1.89 MB with an index of sets kept exact and the faces
+    kept, 2.31 MB with every condition row of a degree stacked before its
+    elimination)."""
     a = group_algebra(PrimeField(2147483629), symmetric_group_table(3))
     sys_ = higher_hochschild_system(a, Bimodule.regular(a), circle(3))
     tracemalloc.start()
@@ -380,14 +475,17 @@ def test_s3_homology_heap_peak():
     finally:
         tracemalloc.stop()
     assert [e["betti"] for e in report["entries"]] == [6, 0, 7]
-    assert peak < 2.1e6
+    assert peak < 1.7e6
 
 
 def test_m2_circle_five_theta_heap_peak(m2):
     """M_2(k) on circle(5) over Q: 4096-dimensional top ambient, whose
     condition rows mostly reduce to zero.  Released as they do, block by
-    block, they keep the traced heap of compute_theta below 8.5 MB (10.09
-    MB with every row of a degree stacked before the elimination)."""
+    block, with the pivot index pruned as it is read and each degree's
+    reference faces dropped once the next degree is done, they keep the
+    traced heap of compute_theta below 6.7 MB (7.24 MB with an index of
+    sets kept exact and every face kept, 10.09 MB with every row of a
+    degree stacked before the elimination)."""
     sys_ = higher_hochschild_system(m2, Bimodule.regular(m2), circle(5))
     tracemalloc.start()
     try:
@@ -396,7 +494,25 @@ def test_m2_circle_five_theta_heap_peak(m2):
     finally:
         tracemalloc.stop()
     assert theta.dims() == [4, 13, 38, 104, 272, 688]
-    assert peak < 8.5e6
+    assert peak < 6.7e6
+
+
+def test_m2_circle_five_homology_heap_peak(m2):
+    """M_2(k) on circle(5) over Q, homology after theta: boundaries in
+    place of reference faces and top ranks cut by the square-zero identity
+    keep the traced heap, theta included, below 3.5 MB (4.58 MB with the
+    faces kept and the images ranked whole)."""
+    sys_ = higher_hochschild_system(m2, Bimodule.regular(m2), circle(5))
+    tracemalloc.start()
+    try:
+        theta = compute_theta(sys_)
+        tracemalloc.reset_peak()
+        report = theta.homology()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e["betti"] for e in report["entries"]] == [4, 0, 7, 0, 11]
+    assert peak < 3.5e6
 
 
 def test_built_faces_keep_rows_until_a_column_is_asked(upper):
