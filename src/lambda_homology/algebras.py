@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 
+from .config import DEFAULT_CAPS
 from .errors import ValidationError, spec_ints, spec_of
 from .fields import field_of
 from .linalg import Matrix
@@ -335,17 +336,22 @@ def upper_triangular_2x2(field) -> Algebra:
     return Algebra(field, 3, pairs, {e11: one, e22: one}, label="upper_triangular_2x2")
 
 
-def named_algebra(field, kind: str, **params) -> Algebra:
-    """Named constructors used by the JSON loaders and the CLI."""
+def named_algebra(field, kind: str, caps=DEFAULT_CAPS, /, **params) -> Algebra:
+    """Named constructors used by the JSON loaders and the CLI; the size
+    of the product table is checked against ``caps`` before it is built.
+    The spec's own entries are the keyword ``params``."""
     if kind == "ground_field":
         return ground_field_algebra(field)
     if kind == "truncated_polynomial":
-        return truncated_polynomial_algebra(
-            field, spec_ints(params.get("order", 2), "order"))
+        order = spec_ints(params.get("order", 2), "order")
+        caps.check_table_size("algebra", "order", order, order * order)
+        return truncated_polynomial_algebra(field, order)
     if kind == "group_algebra":
         table = params.get("table")
         if table is None:
             raise ValidationError("group_algebra needs a 'table'")
+        n = len(spec_of(table, "Cayley table"))
+        caps.check_table_size("algebra", "table", n, n * n)
         return group_algebra(field, table, label=params.get("label", ""))
     if kind == "upper_triangular":
         return upper_triangular_2x2(field)
@@ -354,8 +360,8 @@ def named_algebra(field, kind: str, **params) -> Algebra:
         size = spec_ints(params.get("size", 2), "size")
         if inner is None:
             raise ValidationError("matrix algebra needs an 'inner' algebra spec")
-        base = algebra_from_json(inner, field=field)
-        alg, _ = matrix_algebra(base, size)
+        base = algebra_from_json(inner, field=field, caps=caps)
+        alg, _ = matrix_algebra(base, size, caps)
         return alg
     raise ValidationError(f"unknown builtin algebra {kind!r}", kind=kind)
 
@@ -382,18 +388,21 @@ def _matrix_products(size: int, left_dim: int, right_dim: int, out_dim: int,
     return table
 
 
-def matrix_algebra(a: Algebra, size: int) -> tuple[Algebra, AlgebraMorphism]:
+def matrix_algebra(a: Algebra, size: int,
+                   caps=DEFAULT_CAPS) -> tuple[Algebra, AlgebraMorphism]:
     """size x size matrices over a, with the corner embedding into slot (0,0).
 
     Basis order is (row, col, inner basis index), lexicographic, so block
     (0, 0) holds the first ``a.dim`` basis vectors.  The corner embedding is
     multiplicative; it is unital only for size 1, and the morphism's
-    ``unital`` flag records that.
+    ``unital`` flag records that.  The product table's size is checked
+    against ``caps`` before it is built.
     """
     if size < 1:
         raise ValidationError("matrix size must be at least 1", size=size)
     f = a.field
     d = a.dim
+    caps.check_table_size("algebra", "size", size, (size * size * d) ** 2)
     pairs = _matrix_products(size, d, d, d, a.pairs)
     unit = {(r * size + r) * d + k: v for r in range(size) for k, v in a.unit.items()}
     label = f"M{size}({a.label})" if a.label else f"M{size}"
@@ -467,13 +476,15 @@ def _read_products(field, quads, what: str, shape: tuple[int, int, int],
     return [[_clean(entry) for entry in row] for row in table]
 
 
-def algebra_from_json(obj: dict, field=None) -> Algebra:
-    """An algebra spec read over ``field``, if given, else over its own."""
+def algebra_from_json(obj: dict, field=None, caps=DEFAULT_CAPS) -> Algebra:
+    """An algebra spec read over ``field``, if given, else over its own; a
+    product table over ``caps`` is refused before it is built."""
     field = field_of(spec_of(obj, "algebra spec", dict), field)
     if "builtin" in obj:
         params = {k: v for k, v in obj.items() if k not in ("builtin", "field")}
-        return named_algebra(field, obj["builtin"], **params)
+        return named_algebra(field, obj["builtin"], caps, **params)
     dim = _read_dim(obj, "algebra")
+    caps.check_table_size("algebra", "dim", dim, dim * dim)
     pairs = _read_products(field, obj.get("mult", []), "mult", (dim, dim, dim),
                            "mult entry out of range")
     unit_list = obj.get("unit")
@@ -491,13 +502,16 @@ def algebra_from_json(obj: dict, field=None) -> Algebra:
     return a
 
 
-def bimodule_from_json(obj: dict, over: Algebra) -> Bimodule:
+def bimodule_from_json(obj: dict, over: Algebra, caps=DEFAULT_CAPS) -> Bimodule:
+    """A bimodule spec over ``over``; its action tables, of dim x over.dim
+    cells each, are refused before they are built if over ``caps``."""
     field = over.field
     if "builtin" in spec_of(obj, "bimodule spec", dict):
         if obj["builtin"] == "regular":
             return Bimodule.regular(over)
         raise ValidationError(f"unknown builtin bimodule {obj['builtin']!r}")
     dim = _read_dim(obj, "bimodule")
+    caps.check_table_size("bimodule", "dim", dim, dim * over.dim)
     left = _read_products(field, obj.get("left", []), "left", (over.dim, dim, dim),
                           "left action entry out of range")
     right = _read_products(field, obj.get("right", []), "right", (dim, over.dim, dim),

@@ -101,12 +101,12 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         if obj is None:
             raise ValidationError(f"system spec needs '{key}'")
         obj, _ = _resolve(obj, base)
-        return algebra_from_json(obj, field=f)
+        return algebra_from_json(obj, field=f, caps=caps)
 
     def bimodule(a):
         obj = spec.get("bimodule", {"builtin": "regular"})
         obj, _ = _resolve(obj, base)
-        return bimodule_from_json(obj, a)
+        return bimodule_from_json(obj, a, caps)
 
     if kind in ("hochschild", "sphere2"):
         if degree is None:
@@ -163,11 +163,11 @@ def _system_from_args(args, spec: str):
     return system, caps
 
 
-def _inner_algebra(args):
+def _inner_algebra(args, caps):
     """The ``--algebra`` file of ``verify morita`` and ``verify witness``,
     by default the ground field."""
     obj = _read_json(Path(args.algebra)) if args.algebra else {"builtin": "ground_field"}
-    return algebra_from_json(obj, field=_field_from_args(args))
+    return algebra_from_json(obj, field=_field_from_args(args), caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def write_report(report: dict, args, tsv_fn=None) -> None:
 
 def cmd_homology(args) -> int:
     system, caps = _system_from_args(args, args.spec)
-    theta = compute_theta(system, caps)
+    theta = compute_theta(system, caps, canonical=args.emit_bases)
     report = theta.homology()
     if args.emit_bases:
         report["theta"] = theta.to_json(emit_bases=True)
@@ -251,7 +251,7 @@ def cmd_homology(args) -> int:
 
 def cmd_theta(args) -> int:
     system, caps = _system_from_args(args, args.spec)
-    theta = compute_theta(system, caps)
+    theta = compute_theta(system, caps, canonical=args.emit_bases)
     report = theta.to_json(emit_bases=args.emit_bases)
     write_report(report, args, _theta_tsv)
     return 0
@@ -320,8 +320,9 @@ def _verify_algebra(args) -> tuple[dict, bool]:
         raise ValidationError("verify algebra needs --input")
     obj = _read_json(Path(args.input))
     field = _field_from_args(args)
+    caps = _caps_from_args(args)
     return _axioms_report(
-        "algebra_axioms", lambda: algebra_from_json(obj, field=field),
+        "algebra_axioms", lambda: algebra_from_json(obj, field=field, caps=caps),
         lambda a: {"label": a.label, "dim": a.dim,
                    "commutative": a.is_commutative()})
 
@@ -332,8 +333,9 @@ def _verify_morphism(args) -> tuple[dict, bool]:
             "verify morphism needs --input, --source, and --target"
         )
     field = _field_from_args(args)
-    src = algebra_from_json(_read_json(Path(args.source)), field=field)
-    tgt = algebra_from_json(_read_json(Path(args.target)), field=field)
+    caps = _caps_from_args(args)
+    src = algebra_from_json(_read_json(Path(args.source)), field=field, caps=caps)
+    tgt = algebra_from_json(_read_json(Path(args.target)), field=field, caps=caps)
     obj = _read_json(Path(args.input))
     return _axioms_report(
         "algebra_morphism", lambda: morphism_from_json(obj, src, tgt),
@@ -372,9 +374,9 @@ def _verify_subcomplex(args) -> tuple[dict, bool]:
 
 
 def _verify_morita(args) -> tuple[dict, bool]:
-    a = _inner_algebra(args)
-    m = Bimodule.regular(a)
     caps = _caps_from_args(args)
+    a = _inner_algebra(args, caps)
+    m = Bimodule.regular(a)
     if args.max_degree is None:
         raise ValidationError("verify morita needs --max-degree")
     report = morita_report(a, m, args.matrix_size, args.max_degree, caps)
@@ -416,9 +418,9 @@ def _verify_witness(args) -> tuple[dict, bool]:
     caps = _caps_from_args(args)
     if args.max_degree is None:
         raise ValidationError("verify witness needs --max-degree")
-    inner = _inner_algebra(args)
+    inner = _inner_algebra(args, caps)
     size = args.matrix_size
-    big, corner_emb = matrix_algebra(inner, size)
+    big, corner_emb = matrix_algebra(inner, size, caps)
     # the default idempotent: the corner image of the unit
     corner_unit = corner_emb.apply(inner.unit)
     if args.kind == "w":

@@ -32,6 +32,19 @@ class ResourceCaps:
                 cap=self.max_index_size,
             )
 
+    def check_table_size(self, what: str, entry: str, value: int,
+                         cells: int) -> None:
+        """Refuse a product table of ``cells`` entries before it is built.
+        An algebra's table has dim^2 cells, as many as the degree-one
+        ambient of its Hochschild system with the regular bimodule, so a
+        table over ``max_ambient_dim`` could not be used; ``entry`` names
+        the spec entry, with its ``value``, that sets the size."""
+        if cells > self.max_ambient_dim:
+            raise ResourceCapError(
+                f"{what} table exceeds cap",
+                entry=entry, value=value, cells=cells, cap=self.max_ambient_dim,
+            )
+
 
 DEFAULT_CAPS = ResourceCaps()
 

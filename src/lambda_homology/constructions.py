@@ -658,7 +658,7 @@ def morita_report(a: Algebra, m: Bimodule, size: int, max_degree: int,
             "matrix comparison needs a commutative algebra and symmetric bimodule"
         )
     field = a.field
-    big, corner_emb = matrix_algebra(a, size)
+    big, corner_emb = matrix_algebra(a, size, caps)
     bigmod, corner_mod = matrix_bimodule(big, m, size)
     circ = circle(max_degree)
 

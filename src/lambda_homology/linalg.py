@@ -13,7 +13,7 @@ blocks over as a caller builds them).  A row that reduces to zero is
 cleared at once, since CPython never shrinks a dict whose entries are
 deleted.  For the reduced echelon form each row is reduced in one pass
 against the reduced pivot rows found so far, and a row that survives is
-cleared out of the pivot rows that hold its leftmost column, found through
+cleared out of the pivot rows that hold its pivot column, found through
 a column -> pivots index the loop keeps itself (the form is unique, so the
 visiting order cannot change it).  The index only grows, and an entry whose
 row has since lost the column is skipped when the column is read.  A rank
@@ -23,15 +23,19 @@ eliminates the side of its matrix with fewer nonempty lines, that side's
 columns renumbered sparsest first, which leaves less fill and cannot change
 a rank; ``rank_and_basis_rows`` also deletes given columns and names the
 rows that a transposed elimination finds to be a basis.  Kernels and
-reduced forms keep the natural column order.  Over Q elimination is
-fraction-free: rows are primitive integer dicts, and a pivot row of the
-reduced form is divided by its pivot only at the end, giving ``Fraction``
-entries only where the reduced form is not integral.  The dense engines
-``_rref_dense_python`` and ``_rref_dense_fp_numpy`` are kept for
-comparison (the engine tests and the benchmark trace use them; both
-return the field's representatives, like the sparse engine); ``rref``
-calls neither, since the sparse engine is the faster one even on filled
-matrices.
+reduced forms keep the natural column order.  A reduced form takes each
+row's pivot at its first column, or with ``last`` at its last: the kernel
+basis read off the latter is already the kernel's reduced echelon basis,
+so a caller that emits kernels needs no second elimination, while the
+kernel-shaped bases read off the former are sparser to work with.  Over Q
+elimination is fraction-free: rows are primitive integer dicts, and a
+pivot row of the reduced form is divided by its pivot only at the end,
+giving ``Fraction`` entries only where the reduced form is not integral.
+The dense engines ``_rref_dense_python`` and ``_rref_dense_fp_numpy``
+are kept for comparison (the engine tests and the benchmark trace use
+them; both return the field's representatives, like the sparse engine);
+``rref`` calls neither, since the sparse engine is the faster one even on
+filled matrices.
 """
 
 from __future__ import annotations
@@ -170,12 +174,15 @@ class Blocks:
         return self._taken
 
 
-def _rref_sparse(field, work, ncols: int, full: bool):
+def _rref_sparse(field, work, ncols: int, full: bool, last: bool = False):
     # ``work`` is a list of rows (one block) or ``Blocks``.  With ``full``
     # one pass against the reduced pivot rows reduces a row (they are zero
     # at each other's pivots); without it a pivot row is never touched
     # again, since an echelon form is enough for a rank.  ``holders`` only
     # grows: a pivot whose row lost the column since is skipped when read.
+    # With ``last`` (and ``full``) a pivot row's other entries all lie left
+    # of its pivot: a new pivot is its row's largest column, so the rows it
+    # is cleared out of have larger pivots.
     blocks = work if isinstance(work, Blocks) else (work,)
     key_of = field.pivot_key
     cancel = field.cancel
@@ -193,7 +200,7 @@ def _rref_sparse(field, work, ncols: int, full: bool):
         if not row:
             row.clear()                    # an emptied dict keeps its table
             continue
-        col = min(row)
+        col = max(row) if last else min(row)
         key = keys[col] = key_of(row[col])
         row_at[col] = row
         if full:
@@ -314,7 +321,7 @@ def _rref_dense_fp_numpy(field, work: list[dict], ncols: int, full: bool):
     return out_rows, tuple(piv_cols)
 
 
-def rref(field, rows, ncols: int, full: bool = True):
+def rref(field, rows, ncols: int, full: bool = True, last: bool = False):
     """Row-reduce sparse rows; returns (echelon rows, pivot columns).
 
     ``rows`` is a list of rows, reduced as one block, or ``Blocks``, whose
@@ -325,6 +332,10 @@ def rref(field, rows, ncols: int, full: bool = True):
     its leftmost column is no other row's pivot, which gives an echelon
     form, enough for ranks: the pivots are the same and the rows are not
     scaled to a unit pivot (over Q they are primitive integer rows).
+    With ``full`` and ``last`` each row's pivot is its last column, not its
+    first: every row is 1 at its pivot, 0 at the other pivots and nonzero
+    elsewhere only left of its pivot, a form as unique as the reduced
+    echelon one (``last`` needs ``full``).
     Pivots come back strictly increasing with their rows in matching order.
     The caller hands the row dicts over, each a distinct dict: they are
     eliminated in place, not copied.  A row that reduces to zero comes back
@@ -334,15 +345,16 @@ def rref(field, rows, ncols: int, full: bool = True):
     entry the elimination never touches comes back as given, and nothing
     checks it.
     """
-    return _rref_sparse(field, rows, ncols, full)
+    return _rref_sparse(field, rows, ncols, full, last)
 
 
 def kernel_rows_from_rref(field, rref_rows: list[dict], pivots: tuple, ncols: int) -> list[dict]:
-    """Standard kernel basis read off a reduced echelon form.
+    """Standard kernel basis read off a reduced form, with its pivots at
+    the rows' first columns or at their last (``rref``).
 
     One vector per free column f: 1 at f and minus row[f] at the pivot of
-    each echelon row, filled in by a single pass over the rows; each
-    echelon row is cleared once read.
+    each reduced row, filled in by a single pass over the rows; each
+    reduced row is cleared once read.
     """
     pivset = set(pivots)
     one = field.one
@@ -368,9 +380,11 @@ class Subspace:
     Every basis carries a set of pivot columns at which the basis rows form
     an identity pattern (row r is 1 at pivots[r] and 0 at the other pivots).
     Membership and complement projectors only need that much.
-    A basis may additionally be the reduced echelon form, which is canonical:
-    equality and serialization canonicalize lazily so that hot paths can
-    keep cheaper kernel-shaped bases.
+    A basis may additionally be the reduced echelon form, which is canonical
+    and marked so.  Equality and serialization need that form and
+    canonicalize an unmarked basis by a second elimination, once; a kernel
+    computed with ``canonical`` comes marked, while one computed without
+    keeps the kernel-shaped basis that its elimination reads off cheapest.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_canon", "_row_at")
@@ -396,10 +410,11 @@ class Subspace:
 
     @classmethod
     def from_pivot_basis(cls, field, ambient_dim: int, rows: list[dict],
-                         pivots: tuple) -> "Subspace":
-        """Adopt rows already in identity pattern at the given pivots."""
+                         pivots: tuple, canonical: bool = False) -> "Subspace":
+        """Adopt rows already in identity pattern at the given pivots, marked
+        ``canonical`` if they are the reduced echelon basis."""
         m = Matrix(field, len(rows), ambient_dim, rows)
-        return cls(field, ambient_dim, m, pivots, canonical=False)
+        return cls(field, ambient_dim, m, pivots, canonical)
 
     def canonicalize(self) -> "Subspace":
         """The same subspace with the unique reduced-echelon basis."""
@@ -549,25 +564,33 @@ def rank_and_basis_rows(m: Matrix, skip=()) -> tuple[int, tuple]:
 
 
 def kernel_of_rows(field, rows: Sequence[dict], ncols: int) -> Subspace:
-    """Kernel of the linear map whose matrix has the given rows."""
-    return kernel_of_rows_raw(field, [dict(r) for r in rows if r], ncols).canonicalize()
+    """Kernel of the linear map whose matrix has the given rows, with its
+    reduced echelon basis; the rows stay unchanged."""
+    return kernel_of_rows_raw(field, [dict(r) for r in rows if r], ncols, canonical=True)
 
 
-def kernel_of_rows_raw(field, rows, ncols: int) -> Subspace:
-    """Like kernel_of_rows but keeps the kernel-shaped basis uncanonicalized.
+def kernel_of_rows_raw(field, rows, ncols: int, canonical: bool = False) -> Subspace:
+    """Kernel of the rows, its basis read off one reduced form.
 
-    The pivots of the result are the free columns of the constraint system.
-    This avoids a second elimination pass on large kernels; callers that
-    need the canonical basis call canonicalize().  As with ``rref``, the
-    rows are a list or ``Blocks``, the caller hands the row dicts over and
-    their entries must be the field's own scalars.  A row that reduces to
-    zero or becomes a pivot row comes back cleared, the pivot rows once the
-    kernel has been read off them.
+    The pivots of the result are the free columns of the constraint system,
+    and its basis row at free column f is 1 at f, 0 at the other free
+    columns and minus the pivot rows' entries at f elsewhere.  By default
+    the reduced form takes each pivot at its row's first column: this
+    kernel-shaped basis is the cheapest to reach and to work with, and
+    ``canonicalize()`` eliminates it again when the reduced echelon basis
+    is needed.  With ``canonical`` each pivot is its row's last column
+    (``rref``'s ``last``), so basis row f is nonzero only at f and at pivot
+    columns right of f: that is the reduced echelon basis, which is unique,
+    and the result comes marked so that ``canonicalize()`` returns it as it
+    is.  As with ``rref``, the rows are a list or ``Blocks``, the caller
+    hands the row dicts over and their entries must be the field's own
+    scalars.  A row that reduces to zero or becomes a pivot row comes back
+    cleared, the pivot rows once the kernel has been read off them.
     """
-    rr, pivots = rref(field, rows, ncols, full=True)
+    rr, pivots = rref(field, rows, ncols, full=True, last=canonical)
     if not pivots:
         return Subspace.full(field, ncols)
     krows = kernel_rows_from_rref(field, rr, pivots, ncols)
     pivset = set(pivots)
     free = tuple(c for c in range(ncols) if c not in pivset)
-    return Subspace.from_pivot_basis(field, ncols, krows, free)
+    return Subspace.from_pivot_basis(field, ncols, krows, free, canonical)

@@ -230,13 +230,17 @@ def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace):
             yield {"condition": "identity", "positions": [i, j]}, [r for r in left.rows if r]
 
 
-def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS) -> "ThetaComplex":
+def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS,
+                  canonical: bool = False) -> "ThetaComplex":
     """The unique maximal subcomplex, degree by degree.
 
     Degree 0 is the full space.  Each higher degree is the kernel of the
     agreement/closure/identity rows relative to the degree below, their
-    blocks eliminated as ``_condition_blocks`` yields them; the
-    kernel-shaped basis is kept as-is and canonicalized lazily.  Degree n's
+    blocks eliminated as ``_condition_blocks`` yields them.  Each kernel's
+    basis is the one its elimination reads off (``kernel_of_rows_raw``):
+    with ``canonical``, for a caller that emits the bases, already the
+    reduced echelon basis; otherwise the kernel-shaped one, which is
+    sparser to rank and canonicalized only if asked.  Degree n's
     boundary is built once its kernel is found, and degree n-1's reference
     faces are dropped then, since only degree n's identity rows read them:
     the system comes back holding every boundary and no reference face.
@@ -247,7 +251,7 @@ def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS) -> "ThetaComplex":
     faces = system._ref_cache
     for n in range(1, system.max_degree + 1):
         blocks = (rows for _, rows in _condition_blocks(system, n, subspaces[n - 1]))
-        subspaces.append(kernel_of_rows_raw(f, Blocks(blocks), system.dims[n]))
+        subspaces.append(kernel_of_rows_raw(f, Blocks(blocks), system.dims[n], canonical))
         system.boundary_matrix(n)
         for i in range(n):                 # degree n + 1 reads degree n's only
             faces.pop((n - 1, i), None)

@@ -25,7 +25,8 @@ from lambda_homology.algebras import (
     validate_bimodule,
     vector_from_json,
 )
-from lambda_homology.errors import ValidationError
+from lambda_homology.config import ResourceCaps
+from lambda_homology.errors import ResourceCapError, ValidationError
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix
 
@@ -296,6 +297,32 @@ def test_named_algebra_dispatch(q):
     assert named_algebra(q, "matrix", inner=inner, size=3).dim == 9
     with pytest.raises(ValidationError):
         named_algebra(q, "octonions")
+
+
+@pytest.mark.parametrize("obj, entry, value, cells", [
+    ({"builtin": "truncated_polynomial", "order": 5}, "order", 5, 25),
+    ({"builtin": "group_algebra", "table": symmetric_group_table(3)}, "table", 6, 36),
+    ({"builtin": "matrix", "inner": {"builtin": "ground_field"}, "size": 3}, "size", 3, 81),
+    ({"builtin": "matrix", "size": 2,
+      "inner": {"builtin": "truncated_polynomial", "order": 6}}, "order", 6, 36),
+    ({"dim": 5, "unit": []}, "dim", 5, 25),
+], ids=["order", "group", "size", "inner-order", "dim"])
+def test_product_table_over_the_cap_is_refused(q, obj, entry, value, cells):
+    """An algebra of dim d has a table of d^2 cells, refused over the cap's
+    ambient dimension before it is built; at most the cap passes, and the
+    spec's own entries never collide with the reader's arguments."""
+    caps = ResourceCaps(max_ambient_dim=24)
+    with pytest.raises(ResourceCapError) as exc:
+        algebra_from_json(obj, field=q, caps=caps)
+    assert exc.value.message == "algebra table exceeds cap"
+    assert exc.value.details == {"entry": entry, "value": value, "cells": cells,
+                                 "cap": 24}
+    assert algebra_from_json({"builtin": "truncated_polynomial", "order": 4,
+                              "kind": "x", "caps": None}, field=q, caps=caps).dim == 4
+    assert matrix_algebra(ground_field_algebra(q), 2, caps)[0].dim == 4
+    with pytest.raises(ResourceCapError) as exc:
+        bimodule_from_json({"dim": 9}, ground_field_algebra(q), ResourceCaps(8))
+    assert exc.value.details == {"entry": "dim", "value": 9, "cells": 9, "cap": 8}
 
 
 def test_vector_json(q):

@@ -196,12 +196,9 @@ def test_index_cap_stops_before_enumerating(tmp_path, construction, degree,
     assert peak_kib < 60 * 1024
 
 
-def test_s3_circle_four_homology_peak_rss(tmp_path):
-    """``homology`` of S3 on circle(4) over F_2147483629, top ambient 7776:
-    theta's condition blocks eliminated as they are built, with rows
-    released once they reduce to zero or the kernel is read off them, keep
-    the CLI's peak RSS under 41 MB (45.2 MB with every condition row of a
-    degree stacked before its elimination)."""
+def measure_s3_circle_four(tmp_path, command, *flags):
+    """``command`` on S3 on circle(4) over F_2147483629, spawned and
+    measured: the finished run, which exited 0, and its peak RSS in KiB."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "construction": "higher_hochschild",
@@ -210,13 +207,83 @@ def test_s3_circle_four_homology_peak_rss(tmp_path):
     }))
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
     r = subprocess.run(
-        [sys.executable, "-S", "-c", SPAWN_AND_MEASURE, "homology", str(spec),
-         "--field", "fp:2147483629"],
+        [sys.executable, "-S", "-c", SPAWN_AND_MEASURE, command, str(spec),
+         "--field", "fp:2147483629", *flags],
         capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=300)
     code, peak_kib = map(int, r.stderr.split()[-2:])
     assert code == 0, r.stdout + r.stderr
+    return r, peak_kib
+
+
+def test_s3_circle_four_homology_peak_rss(tmp_path):
+    """``homology`` of S3 on circle(4) over F_2147483629, top ambient 7776:
+    theta's condition blocks eliminated as they are built, with rows
+    released once they reduce to zero or the kernel is read off them, keep
+    the CLI's peak RSS under 41 MB (45.2 MB with every condition row of a
+    degree stacked before its elimination)."""
+    r, peak_kib = measure_s3_circle_four(tmp_path, "homology")
     assert [e["betti"] for e in json.loads(r.stdout)["entries"]] == [6, 0, 7, 0]
     assert peak_kib < 41 * 1024
+
+
+def test_s3_circle_four_theta_bases_peak_rss(tmp_path):
+    """``theta --emit-bases`` of S3 on circle(4) over F_2147483629: each
+    degree's reduced echelon basis is read off its one elimination, whose
+    pivots sit at each row's last column, and none is eliminated again to
+    be emitted, so the CLI's peak RSS stays under 42 MB (58.3 MB when every
+    kernel-shaped basis was canonicalized by a second elimination)."""
+    r, peak_kib = measure_s3_circle_four(tmp_path, "theta", "--emit-bases")
+    report = json.loads(r.stdout)
+    assert report["theta_dims"] == [6, 33, 172, 888, 4624]
+    assert [b["dim"] for b in report["bases"]] == report["theta_dims"]
+    assert peak_kib < 42 * 1024
+
+
+# The CLI under a 1 GiB address-space limit: a run that builds a table far
+# over the caps fails with a MemoryError there instead of growing until
+# the machine runs out of memory.
+UNDER_ONE_GIB = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.argv[0] = "lambda_homology"
+runpy.run_module("lambda_homology", run_name="__main__", alter_sys=True)
+"""
+
+GROUND = {"builtin": "ground_field"}
+
+
+@pytest.mark.parametrize("spec, argv, what, entry, value", [
+    ({"algebra": {"builtin": "truncated_polynomial", "order": 3000}}, [],
+     "algebra", "order", 3000),
+    ({"algebra": {"dim": 100000, "unit": []}}, [], "algebra", "dim", 100000),
+    ({"algebra": {"builtin": "matrix", "inner": GROUND, "size": 300}}, [],
+     "algebra", "size", 300),
+    ({"algebra": GROUND, "bimodule": {"dim": 10 ** 9}}, [],
+     "bimodule", "dim", 10 ** 9),
+    (None, ["verify", "morita", "--matrix-size", "400", "--max-degree", "2"],
+     "algebra", "size", 400),
+], ids=["order", "dim", "matrix-size", "bimodule-dim", "morita-size"])
+def test_product_table_over_the_cap_is_refused_before_it_is_built(
+        tmp_path, spec, argv, what, entry, value):
+    """An algebra's product table has dim^2 cells, a bimodule's actions
+    dim x (algebra dim) each; one over ``--cap-dim`` exits 2 naming the
+    spec entry that sets its size, before the table is allocated."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"construction": "hochschild",
+                                    "max_degree": 2, **spec}))
+        argv = ["homology", str(path)]
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    r = subprocess.run([sys.executable, "-c", UNDER_ONE_GIB, *argv],
+                       capture_output=True, text=True, env=env, cwd=PKG_ROOT,
+                       timeout=60)
+    assert r.returncode == 2, r.stdout + r.stderr[-2000:]
+    body = json.loads(r.stdout)
+    assert body["error"] == "ResourceCapError"
+    assert body["message"] == f"{what} table exceeds cap"
+    assert body["details"]["entry"] == entry
+    assert body["details"]["value"] == value
+    assert body["details"]["cap"] == 200000
 
 
 @pytest.mark.parametrize("flag, value", [

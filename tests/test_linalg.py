@@ -438,6 +438,45 @@ def test_blocks_in_any_split_and_order_match_one_list_and_oracle(case, data):
         assert all(released(r) for r in copies)
 
 
+@settings(no_shrink, max_examples=150)
+@given(reduction_case(), st.data())
+def test_canonical_kernel_is_read_off_one_last_column_elimination(case, data):
+    """With ``canonical`` the kernel, from the rows as one list or shuffled
+    into blocks, has exactly the pivots and rows of the kernel-shaped
+    kernel canonicalized and of the oracle's reduced echelon basis of the
+    oracle's kernel, and ``canonicalize()`` returns it as it is.  Each row
+    of ``rref(..., last=True)`` is 1 at its pivot, its last column, and 0
+    at the other pivots, and the rows span the oracle's row space."""
+    field, rows, ncols = case
+    order = data.draw(st.permutations(range(len(rows))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    bounds = list(zip([0, *cuts], [*cuts, len(rows)]))
+    copies = [dict(rows[i]) for i in order]
+    streamed = kernel_of_rows_raw(field, Blocks(copies[a:b] for a, b in bounds),
+                                  ncols, canonical=True)
+    one = kernel_of_rows_raw(field, [dict(r) for r in rows], ncols, canonical=True)
+    shaped = kernel_of_rows_raw(field, [dict(r) for r in rows], ncols).canonicalize()
+
+    oracle_rows, pivots = oracle_rref(field, rows, ncols)
+    free = tuple(c for c in range(ncols) if c not in pivots)
+    oracle_kernel = [{f: field.one, **{p: field.neg(row[f])
+                                       for p, row in zip(pivots, oracle_rows) if f in row}}
+                     for f in free]
+    oracle_rows_k, oracle_pivots_k = oracle_rref(field, oracle_kernel, ncols)
+    for kernel in (streamed, one):
+        assert kernel.canonicalize() is kernel
+        assert kernel.pivots == shaped.pivots == oracle_pivots_k
+        assert kernel.basis.rows == shaped.basis.rows == oracle_rows_k
+
+    reduced, last = rref(field, [dict(r) for r in rows], ncols, last=True)
+    assert len(last) == len(pivots) and list(last) == sorted(set(last))
+    for row, c in zip(reduced, last):
+        assert max(row) == c and row[c] == field.one
+        assert not any(p in row for p in last if p != c)
+    assert (Subspace.from_vectors(field, ncols, reduced)
+            == Subspace.from_vectors(field, ncols, oracle_rows))
+
+
 @pytest.fixture
 def back_clears(monkeypatch):
     """Counts the pivot rows ``_rref_sparse`` clears after they became

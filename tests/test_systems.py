@@ -23,7 +23,7 @@ from lambda_homology.errors import InternalCheckError, ResourceCapError, Validat
 from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix, Subspace, rank, rank_and_basis_rows
 from lambda_homology.simplicial import circle
-from lambda_homology import systems
+from lambda_homology import linalg, systems
 from lambda_homology.systems import (
     LambdaMorphism,
     ThetaComplex,
@@ -282,6 +282,36 @@ def test_emitted_bases_replace_the_kernel_shaped_ones(m2):
     for basis in report["bases"]:
         strs = [e[2] for e in basis["basis"]]
         assert len({id(x) for x in strs}) == len(set(strs))
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(2147483629)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("name", ["m2", "s3"])
+def test_canonical_theta_emits_its_bases_without_eliminating(name, field, monkeypatch):
+    """``compute_theta(..., canonical=True)`` reads each degree's reduced
+    echelon basis off its one elimination: the pivots and rows of the
+    default theta's kernel-shaped bases canonicalized, in the same report
+    with the same homology.  Emitting them calls the elimination engine
+    zero times, where the default theta's emission eliminates again."""
+    if name == "m2":
+        alg = matrix_algebra(ground_field_algebra(field), 2)[0]
+    else:
+        alg = group_algebra(field, symmetric_group_table(3))
+    canonical, default = (
+        compute_theta(higher_hochschild_system(alg, Bimodule.regular(alg), circle(3)),
+                      canonical=mark)
+        for mark in (True, False))
+    calls = []
+    engine = linalg._rref_sparse
+    monkeypatch.setattr(linalg, "_rref_sparse",
+                        lambda *args: calls.append(args) or engine(*args))
+    emitted = default.to_json(emit_bases=True)
+    assert calls
+    calls.clear()
+    assert canonical.to_json(emit_bases=True) == emitted
+    assert calls == []
+    for got, want in zip(canonical.subspaces, default.subspaces):
+        assert (got.pivots, got.basis.rows) == (want.pivots, want.basis.rows)
+    assert canonical.homology() == default.homology()
 
 
 def test_each_boundary_is_built_once_and_squared_in_any_degree(dual):
