@@ -26,6 +26,7 @@ from .algebras import (
 )
 from .config import DEFAULT_CAPS, ResourceCaps, thread_bound
 from .constructions import (
+    circle_top,
     compare_systems,
     higher_hochschild_system,
     hochschild_system,
@@ -65,17 +66,19 @@ def _resolve(obj, base: Path):
     return obj, base
 
 
-def _load_simplicial(obj, base: Path, max_degree):
+def _load_simplicial(obj, base: Path, max_degree, top):
     """The max degree fills a builtin's missing ``max_level`` and lowers a
-    higher one, so the builtin is built at the level the job uses and its
-    label names that level (``simplicial_from_json`` checks the value); an
-    explicit set is truncated and keeps its label."""
+    higher one, and ``top`` lowers it to the first level where the system
+    refuses a cap, so the builtin is built no higher than the job uses and
+    its label names that level (``simplicial_from_json`` checks the value);
+    an explicit set is truncated and keeps its label."""
     obj, _ = _resolve(obj, base)
-    if isinstance(obj, dict) and "builtin" in obj and max_degree is not None:
+    if isinstance(obj, dict) and "builtin" in obj:
         level = obj.get("max_level", max_degree)
-        if type(level) is int and level > max_degree:
-            level = max_degree
-        obj = {**obj, "max_level": level}
+        if type(level) is int:
+            if max_degree is not None:
+                level = min(level, max_degree)
+            obj = {**obj, "max_level": top(level)}
     x = simplicial_from_json(obj)
     if max_degree is not None and max_degree < x.max_level:
         x = x.truncate(max_degree)
@@ -114,16 +117,17 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         a = algebra()
         m = bimodule(a)
         if kind == "hochschild":
-            return hochschild_system(a, m, degree)
+            return hochschild_system(a, m, degree, caps)
         return sphere2_system(a, m, degree, caps)
     if kind in ("higher_hochschild", "loday"):
         a = algebra()
         m = bimodule(a)
         x = _load_simplicial(
             spec.get("simplicial", {"builtin": "circle"}), base, degree,
+            lambda level: circle_top(a, m, level, caps),
         )
         if kind == "loday":
-            return loday_chain(a, m, x)
+            return loday_chain(a, m, x, caps)
         return higher_hochschild_system(a, m, x, caps)
     if kind == "secondary":
         if degree is None:

@@ -24,6 +24,13 @@ class ResourceCaps:
         #: checked before a builder enumerates them
         self.max_index_size = max_index_size
 
+    def check_ambient_dim(self, degree: int, dim: int) -> None:
+        if dim > self.max_ambient_dim:
+            raise ResourceCapError(
+                "ambient dimension exceeds cap",
+                degree=degree, dim=dim, cap=self.max_ambient_dim,
+            )
+
     def check_index_size(self, degree: int, position: int, size: int) -> None:
         if size > self.max_index_size:
             raise ResourceCapError(

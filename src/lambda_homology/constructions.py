@@ -29,7 +29,7 @@ from .algebras import (
     matrix_algebra,
     matrix_bimodule,
 )
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, ResourceCaps
 from .errors import ValidationError
 from .linalg import Matrix, Subspace
 from .simplicial import PointedSimplicialSet, circle, sphere2
@@ -56,6 +56,7 @@ __all__ = [
     "corner_chain_map",
     "morita_report",
     "compare_systems",
+    "circle_top",
 ]
 
 
@@ -253,12 +254,32 @@ def _check_pair(a: Algebra, m: Bimodule) -> None:
         raise ValidationError("bimodule is not over the given algebra")
 
 
+def _layouts(max_degree: int, caps, layout_of) -> list[TensorLayout]:
+    """``layout_of(n)`` for n = 0..max_degree, degree by degree, each
+    checked against ``caps.max_ambient_dim`` before the next is made, so a
+    mistyped max degree costs no more than the first degree over a cap.
+    ``layout_of`` checks its degree's candidate counts first."""
+    layouts = []
+    for n in range(max_degree + 1):
+        layouts.append(layout_of(n))
+        caps.check_ambient_dim(n, layouts[n].total)
+    return layouts
+
+
+def _applied_only(caps):
+    """Caps for a system whose faces are applied to vectors and never
+    built, as the witness systems' are: its candidates are counted, its
+    ambient is not bounded."""
+    return ResourceCaps(math.inf, caps.max_index_size)
+
+
 # ---------------------------------------------------------------------------
 # classical cyclic-bar system (the oracle)
 # ---------------------------------------------------------------------------
 
 
-def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
+def hochschild_system(a: Algebra, m: Bimodule, max_degree: int,
+                      caps=DEFAULT_CAPS) -> LambdaSystem:
     """The classical complex on M (x) A^n with one candidate per face.
 
     d_0 multiplies the first algebra factor into the module from the right,
@@ -269,8 +290,8 @@ def hochschild_system(a: Algebra, m: Bimodule, max_degree: int) -> LambdaSystem:
     """
     _check_pair(a, m)
     field = a.field
-    layouts = [TensorLayout((m.dim,) + (a.dim,) * n) for n in range(max_degree + 1)]
-    dims = tuple(layouts[n].total for n in range(max_degree + 1))
+    layouts = _layouts(max_degree, caps, lambda n: TensorLayout((m.dim,) + (a.dim,) * n))
+    dims = tuple(layout.total for layout in layouts)
     labels = {(n, i): (0,) for n in range(1, max_degree + 1) for i in range(n + 1)}
 
     def slots_of(n, i, lab):
@@ -297,30 +318,40 @@ def _simplicial_layout(m: Bimodule, x: PointedSimplicialSet, n: int) -> TensorLa
     return TensorLayout((m.dim,) + (m.over.dim,) * (x.size(n) - 1))
 
 
-def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
-    """Shared dims, fibers and evaluator for systems over a simplicial set.
+def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
+                       caps, orderings: bool):
+    """Shared dims, labels and evaluator for systems over a simplicial set.
 
     Simplex ids double as slot indices: slot 0 holds the module factor at
     the basepoint and slot j holds the algebra factor of simplex j.  For
     each face map, each target simplex collects the ordered product of its
     fiber; a candidate label picks one ordering per fiber of size > 1,
-    listed per target id, in the order of ``multis[(n, i)]``.
+    listed per target id, in the order of ``multis[(n, i)]``: with
+    ``orderings`` every ordering, identity first, their number checked
+    against the index cap before they are enumerated, else the identity
+    alone.  Levels are taken one at a time (``_layouts``).
     """
     _check_pair(a, m)
     field = a.field
     bad = x.validate()
     if bad:
         raise ValidationError("simplicial set axioms fail", violations=bad[:5])
-    max_degree = x.max_level
-    layouts = [_simplicial_layout(m, x, n) for n in range(max_degree + 1)]
-    dims = tuple(layouts[n].total for n in range(max_degree + 1))
+    fibers, multis, labels = {}, {}, {}
 
-    fibers = {}
-    multis = {}
-    for n in range(1, max_degree + 1):
-        for i in range(n + 1):
+    def layout_of(n):
+        for i in range(n + 1) if n else ():
             part = fibers[(n, i)] = x.fibers(n, i)
-            multis[(n, i)] = [(t, c) for t, c in sorted(part.items()) if len(c) > 1]
+            multi = multis[(n, i)] = [(t, c) for t, c in sorted(part.items()) if len(c) > 1]
+            sizes = [len(fib) for _, fib in multi]
+            if orderings:
+                caps.check_index_size(n, i, math.prod(map(math.factorial, sizes)))
+                labels[(n, i)] = tuple(itertools.product(
+                    *(itertools.permutations(range(k)) for k in sizes)))
+            else:
+                labels[(n, i)] = (tuple(tuple(range(k)) for k in sizes),)
+        return _simplicial_layout(m, x, n)
+
+    layouts = _layouts(x.max_level, caps, layout_of)
 
     def slots_of(n, i, lab):
         part = fibers[(n, i)]
@@ -333,8 +364,27 @@ def _simplicial_engine(a: Algebra, m: Bimodule, x: PointedSimplicialSet):
             out.append(tuple((s, "m" if t == 0 and s == 0 else "a") for s in ordered))
         return out
 
-    return dims, multis, _recipe_evaluator(field, layouts, slots_of,
+    dims = tuple(layout.total for layout in layouts)
+    return dims, labels, _recipe_evaluator(field, layouts, slots_of,
                                            _basis_products(a, m))
+
+
+def _builtin_top(a: Algebra, m: Bimodule, level: int, caps, size, count) -> int:
+    """The level to build a builtin simplicial set to for a system of
+    (a, m) over it: ``level``, or the first level n >= 1 at which the
+    system's builder refuses, as ``count(n)``, its largest candidate count,
+    or its ambient M (x) A^(size(n) - 1) exceeds a cap.  No level above it
+    is built or validated, and the builder raises there (or at degree 0,
+    whose ambient it checks first at any level)."""
+    return next((n for n in range(1, level + 1)
+                 if count(n) > caps.max_index_size
+                 or m.dim * a.dim ** (size(n) - 1) > caps.max_ambient_dim), level)
+
+
+def circle_top(a: Algebra, m: Bimodule, level: int, caps=DEFAULT_CAPS) -> int:
+    """``_builtin_top`` of ``simplicial.circle``: n + 1 simplices at level
+    n, and each face one two-element fiber."""
+    return _builtin_top(a, m, level, caps, lambda n: n + 1, lambda n: 2)
 
 
 def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
@@ -342,18 +392,13 @@ def higher_hochschild_system(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
     """The system over a pointed simplicial set with all fiber orderings,
     identity orderings first; their number is checked before they are
     enumerated."""
-    dims, multis, column_fn = _simplicial_engine(a, m, x)
-    labels = {}
-    for (n, i), multi in multis.items():
-        caps.check_index_size(
-            n, i, math.prod(math.factorial(len(fib)) for _, fib in multi))
-        labels[(n, i)] = tuple(itertools.product(
-            *(itertools.permutations(range(len(fib))) for _, fib in multi)))
+    dims, labels, column_fn = _simplicial_engine(a, m, x, caps, orderings=True)
     tag = f"simplicial({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
     return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
 
-def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSystem:
+def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
+                caps=DEFAULT_CAPS) -> LambdaSystem:
     """The commutative-case chain: fiber products with no ordering choices.
 
     Requires a commutative algebra and symmetric bimodule, where unordered
@@ -365,9 +410,7 @@ def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet) -> LambdaSyste
         raise ValidationError("commutative chain needs a commutative algebra")
     if not rep["bimodule_symmetric"]:
         raise ValidationError("commutative chain needs a symmetric bimodule")
-    dims, multis, column_fn = _simplicial_engine(a, m, x)
-    labels = {key: (tuple(tuple(range(len(fib))) for _, fib in multi),)
-              for key, multi in multis.items()}
+    dims, labels, column_fn = _simplicial_engine(a, m, x, caps, orderings=False)
     tag = f"commutative({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
     return LambdaSystem(a.field, x.max_level, dims, labels, column_fn, label=tag)
 
@@ -377,10 +420,13 @@ def sphere2_system(a: Algebra, m: Bimodule, max_degree: int,
     """The simplicial system on the two-sphere Delta^2/dDelta^2
     (``simplicial.sphere2``): algebra factors at the positions (p, q),
     1 <= p < q <= n, row-major after the module; the ends have n!
-    candidates and the middle faces 2^(n-1)."""
+    candidates and the middle faces 2^(n-1).  The sphere is built up to
+    ``_builtin_top`` only."""
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative", max_degree=max_degree)
-    system = higher_hochschild_system(a, m, sphere2(max_degree), caps)
+    top = _builtin_top(a, m, max_degree, caps, lambda n: 1 + n * (n - 1) // 2,
+                       math.factorial)
+    system = higher_hochschild_system(a, m, sphere2(top), caps)
     system.label = f"triangular({a.label or 'A'},{m.label or 'M'})"
     return system
 
@@ -431,11 +477,10 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
     if eps.source is not b or eps.target is not a:
         raise ValidationError("morphism endpoints do not match the algebras")
     field = a.field
-    layouts = [_secondary_layout(a, b, n) for n in range(max_degree + 1)]
-    dims = tuple(layouts[n].total for n in range(max_degree + 1))
     labels = {}
-    for n in range(1, max_degree + 1):
-        for i in range(n + 1):
+
+    def layout_of(n):
+        for i in range(n + 1) if n else ():
             caps.check_index_size(n, i, 3 * 2 ** (n - 1))
             ternary_at = 0 if i == n else i
             ranges = [
@@ -443,6 +488,10 @@ def secondary_system(a: Algebra, b: Algebra, eps: AlgebraMorphism,
                 for j in range(n)
             ]
             labels[(n, i)] = tuple(itertools.product(*ranges))
+        return _secondary_layout(a, b, n)
+
+    layouts = _layouts(max_degree, caps, layout_of)
+    dims = tuple(layout.total for layout in layouts)
 
     def slots_of(n, i, lab):
         def da(j):
@@ -587,8 +636,8 @@ def witness_w_suite(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
         )
     vectors = [w_witness_vector(m, x, e, mvec, n) for n in range(x.max_level + 1)]
     return _witness_report(
-        "module_idempotent", higher_hochschild_system(a, m, x, caps), vectors,
-        lambda n: higher_hochschild_system(a, m, x.truncate(n), caps),
+        "module_idempotent", higher_hochschild_system(a, m, x, _applied_only(caps)),
+        vectors, lambda n: higher_hochschild_system(a, m, x.truncate(n), caps),
         theta_degree, caps,
     )
 
@@ -610,9 +659,9 @@ def witness_t_suite(a: Algebra, b: Algebra, eps: AlgebraMorphism,
         )
     vectors = [t_witness_vector(a, b, e, f, n) for n in range(max_degree + 1)]
     report = _witness_report(
-        "paired_idempotents", secondary_system(a, b, eps, max_degree, caps),
-        vectors, lambda n: secondary_system(a, b, eps, n, caps), theta_degree,
-        caps,
+        "paired_idempotents",
+        secondary_system(a, b, eps, max_degree, _applied_only(caps)), vectors,
+        lambda n: secondary_system(a, b, eps, n, caps), theta_degree, caps,
     )
     report["membership_above_direct_check"] = "certified by subcomplex containment"
     return report
@@ -663,8 +712,8 @@ def morita_report(a: Algebra, m: Bimodule, size: int, max_degree: int,
     circ = circle(max_degree)
 
     sys_small_circle = higher_hochschild_system(a, m, circ, caps)
-    sys_small_classical = hochschild_system(a, m, max_degree)
-    sys_big_classical = hochschild_system(big, bigmod, max_degree)
+    sys_small_classical = hochschild_system(a, m, max_degree, caps)
+    sys_big_classical = hochschild_system(big, bigmod, max_degree, caps)
     sys_big_circle = higher_hochschild_system(big, bigmod, circ, caps)
 
     theta1 = compute_theta(sys_small_circle, caps)

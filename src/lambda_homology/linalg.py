@@ -399,22 +399,18 @@ class Subspace:
         self._row_at = None
 
     @classmethod
-    def _from_rref(cls, field, ambient_dim: int, rows: list[dict], pivots: tuple) -> "Subspace":
-        return cls(field, ambient_dim, Matrix(field, len(rows), ambient_dim, rows), pivots)
-
-    @classmethod
     def from_vectors(cls, field, ambient_dim: int, vectors: Sequence[dict]) -> "Subspace":
         """The span of the vectors; entries must be field scalars (``rref``)."""
         rows, pivots = rref(field, [dict(v) for v in vectors if v], ambient_dim, full=True)
-        return cls._from_rref(field, ambient_dim, rows, pivots)
+        return cls.from_pivot_basis(field, ambient_dim, rows, pivots, canonical=True)
 
     @classmethod
     def from_pivot_basis(cls, field, ambient_dim: int, rows: list[dict],
                          pivots: tuple, canonical: bool = False) -> "Subspace":
         """Adopt rows already in identity pattern at the given pivots, marked
         ``canonical`` if they are the reduced echelon basis."""
-        m = Matrix(field, len(rows), ambient_dim, rows)
-        return cls(field, ambient_dim, m, pivots, canonical)
+        return cls(field, ambient_dim, Matrix(field, len(rows), ambient_dim, rows),
+                   pivots, canonical)
 
     def canonicalize(self) -> "Subspace":
         """The same subspace with the unique reduced-echelon basis."""
@@ -428,7 +424,8 @@ class Subspace:
     def full(cls, field, ambient_dim: int) -> "Subspace":
         one = field.one
         rows = [{i: one} for i in range(ambient_dim)]
-        return cls._from_rref(field, ambient_dim, rows, tuple(range(ambient_dim)))
+        return cls.from_pivot_basis(field, ambient_dim, rows, tuple(range(ambient_dim)),
+                                    canonical=True)
 
     @property
     def dim(self) -> int:

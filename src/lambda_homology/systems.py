@@ -25,13 +25,16 @@ One evaluator, ``column_fn``, gives a face's columns at any basis codes:
 faces are built whole from all of them and kept by rows, and
 ``apply_face`` reads a vector's support only, for ambients too large to
 build.  Every built matrix is applied to a stack of vectors by one
-product with their rows.  Each boundary is built once and kept;
-``compute_theta`` builds them while the reference faces are at hand and
-keeps no face past the degree after its own.  The boundary of theta has
-one representation, ``boundary_image_rows``: the images of a basis in
-theta_{n-1} coordinates, which the ranks, the cycles and the induced maps
-all read; no ambient image of a basis is kept.  ``homology()`` ranks them
-with the coordinates that d_{n-1} d_n = 0 makes redundant deleted.
+product with their rows.  A system holds no matrix.  ``_degrees`` owns
+the reference faces: it builds each degree's once, hands them to that
+degree's condition blocks and to the next degree's identity rows, and
+drops them after that.  ``compute_theta`` sums each degree's into its
+boundary, and the ``ThetaComplex`` keeps the boundaries.  The boundary of
+theta has one representation, ``boundary_image_rows``: the images of a
+basis in theta_{n-1} coordinates, which the ranks, the cycles and the
+induced maps all read; no ambient image of a basis is kept.
+``homology()`` ranks them with the coordinates that d_{n-1} d_n = 0 makes
+redundant deleted.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import islice
 from operator import ne
 
 from .config import DEFAULT_CAPS
-from .errors import InternalCheckError, ResourceCapError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .linalg import (
     Blocks,
     Matrix,
@@ -78,10 +81,7 @@ class LambdaSystem:
     the nonzero columns of that candidate at a list of basis codes, as
     ``(code, offset, terms)``: the column holds v in row offset + p for each
     ``(p, v)`` in terms, and a code with a zero column is left out.
-    Boundaries are cached, and so are reference face matrices until
-    ``compute_theta`` has no more use for them; non-reference candidates
-    are materialized on demand and dropped, since their number can be
-    factorial.
+    A system holds no matrix: every face is built when asked for.
     """
 
     def __init__(self, field, max_degree: int, dims, labels: dict,
@@ -107,25 +107,12 @@ class LambdaSystem:
         self.labels = labels
         self.column_fn = column_fn
         self.label = label
-        self._ref_cache: dict = {}
-        self._boundary_cache: dict = {}
 
     def face_matrix(self, n: int, i: int, lab=None) -> Matrix:
-        """The candidate's matrix; the reference candidate is cached, and
-        built again when asked for after ``compute_theta`` dropped it."""
-        ref = self.labels[(n, i)][0]
+        """The candidate's matrix, the reference one by default, built
+        whole from its columns at every basis code."""
         if lab is None:
-            lab = ref
-        if lab == ref:
-            key = (n, i)
-            m = self._ref_cache.get(key)
-            if m is None:
-                m = self._build_face(n, i, ref)
-                self._ref_cache[key] = m
-            return m
-        return self._build_face(n, i, lab)
-
-    def _build_face(self, n: int, i: int, lab) -> Matrix:
+            lab = self.labels[(n, i)][0]
         rows = [{} for _ in range(self.dims[n - 1])]
         for x, offset, terms in self.column_fn(n, i, lab, range(self.dims[n])):
             for p, v in terms:
@@ -134,25 +121,11 @@ class LambdaSystem:
 
     def apply_face(self, n: int, i: int, lab, vec: dict) -> dict:
         """Image of a vector, from the columns at its support only; no
-        matrix is built or read, even a cached one."""
+        matrix is built."""
         out: dict = {}
         for x, offset, terms in self.column_fn(n, i, lab, vec):
             self.field.axpy_row(out, {offset + p: v for p, v in terms}, vec[x])
         return out
-
-    def boundary_matrix(self, n: int) -> Matrix:
-        """Alternating sum of the reference faces, summed row by row in
-        place; built once and kept."""
-        if n not in self._boundary_cache:
-            f = self.field
-            rows = [{} for _ in range(self.dims[n - 1])]
-            sign = f.one
-            for i in range(n + 1):
-                for acc, frow in zip(rows, self.face_matrix(n, i).rows):
-                    f.axpy_row(acc, frow, sign)
-                sign = f.neg(sign)
-            self._boundary_cache[n] = Matrix(f, self.dims[n - 1], self.dims[n], rows)
-        return self._boundary_cache[n]
 
     def apply_boundary(self, n: int, vec: dict) -> dict:
         # goes through apply_face so huge ambients with sparse vectors
@@ -169,11 +142,7 @@ class LambdaSystem:
 
     def check_caps(self, caps=DEFAULT_CAPS) -> None:
         for n, d in enumerate(self.dims):
-            if d > caps.max_ambient_dim:
-                raise ResourceCapError(
-                    "ambient dimension exceeds cap",
-                    degree=n, dim=d, cap=caps.max_ambient_dim,
-                )
+            caps.check_ambient_dim(n, d)
         for (n, i), labs in self.labels.items():
             caps.check_index_size(n, i, len(labs))
 
@@ -187,42 +156,56 @@ class LambdaSystem:
 # ---------------------------------------------------------------------------
 
 
-def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace):
+def _degrees(system: LambdaSystem, subspaces: list[Subspace]):
+    """Yield ``(n, faces, blocks)`` for each degree n >= 1: its reference
+    faces d_0..d_n and its condition blocks relative to ``subspaces[n-1]``,
+    read when the blocks are first asked for.
+
+    Each degree's reference faces are built once, here, and reach its own
+    blocks and the next degree's identity rows; the degree after that no
+    longer holds them.
+    """
+    lower: list[Matrix] = []
+    for n in range(1, system.max_degree + 1):
+        faces = [system.face_matrix(n, i) for i in range(n + 1)]
+        yield n, faces, _condition_blocks(system, n, subspaces[n - 1], faces, lower)
+        lower = faces
+
+
+def _condition_blocks(system: LambdaSystem, n: int, lower: Subspace,
+                      faces: list[Matrix], lower_faces: list[Matrix]):
     """Yield ``(reason, rows)`` for each block of conditions in degree n.
 
-    The rows of a block vanish on a vector exactly when it satisfies that
-    condition, so a unit vector e_f breaks the block exactly when column f
-    of its rows is nonzero.  Blocks come in a fixed order: agreement
-    d_i^a - d_i^ref by (i, candidate), then closure (projector killing
-    ``lower``) . d_i^ref by i, then identities d_i d_j - d_{j-1} d_i on
-    reference faces by (j, i).
+    ``faces`` are degree n's reference faces and ``lower_faces`` degree
+    n-1's.  The rows of a block vanish on a vector exactly when it
+    satisfies that condition, so a unit vector e_f breaks the block exactly
+    when column f of its rows is nonzero.  Blocks come in a fixed order:
+    agreement d_i^a - d_i^ref by (i, candidate), then closure (projector
+    killing ``lower``) . d_i^ref by i, then identities d_i d_j - d_{j-1}
+    d_i on reference faces by (j, i).
     """
     f = system.field
     minus_one = f.neg(f.one)
     for i in range(n + 1):
         labs = system.labels[(n, i)]
-        if len(labs) == 1:
-            continue
-        ref_rows = system.face_matrix(n, i).rows
         for lab in labs[1:]:
             rows = system.face_matrix(n, i, lab).rows
-            for row, ref in zip(rows, ref_rows):
+            for row, ref in zip(rows, faces[i].rows):
                 f.axpy_row(row, ref, minus_one)
             yield ({"condition": "agreement", "position": i,
                     "candidate": label_json(lab)}, [r for r in rows if r])
     if not lower.is_full:
         proj = lower.complement_projector()
-        for i in range(n + 1):
-            prod = proj.mul(system.face_matrix(n, i))
+        for i, face in enumerate(faces):
+            prod = proj.mul(face)
             yield {"condition": "closure", "position": i}, [r for r in prod.rows if r]
         del proj, prod  # not kept alive through the identity products
     if n < 2:
         return
     for j in range(1, n + 1):
-        upper_j = system.face_matrix(n, j)
         for i in range(j):
-            left = system.face_matrix(n - 1, i).mul(upper_j)
-            right = system.face_matrix(n - 1, j - 1).mul(system.face_matrix(n, i))
+            left = lower_faces[i].mul(faces[j])
+            right = lower_faces[j - 1].mul(faces[i])
             if left == right:
                 continue
             for lrow, rrow in zip(left.rows, right.rows):
@@ -240,31 +223,38 @@ def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS,
     basis is the one its elimination reads off (``kernel_of_rows_raw``):
     with ``canonical``, for a caller that emits the bases, already the
     reduced echelon basis; otherwise the kernel-shaped one, which is
-    sparser to rank and canonicalized only if asked.  Degree n's
-    boundary is built once its kernel is found, and degree n-1's reference
-    faces are dropped then, since only degree n's identity rows read them:
-    the system comes back holding every boundary and no reference face.
+    sparser to rank and canonicalized only if asked.  Once degree n's
+    kernel is found, its reference faces are summed into its boundary,
+    which the complex keeps; the faces are dropped with the next degree.
     """
     system.check_caps(caps)
     f = system.field
     subspaces = [Subspace.full(f, system.dims[0])]
-    faces = system._ref_cache
-    for n in range(1, system.max_degree + 1):
-        blocks = (rows for _, rows in _condition_blocks(system, n, subspaces[n - 1]))
-        subspaces.append(kernel_of_rows_raw(f, Blocks(blocks), system.dims[n], canonical))
-        system.boundary_matrix(n)
-        for i in range(n):                 # degree n + 1 reads degree n's only
-            faces.pop((n - 1, i), None)
-    faces.clear()
-    return ThetaComplex(system, subspaces)
+    boundaries = [Matrix(f, 0, system.dims[0], [])]
+    for n, faces, blocks in _degrees(system, subspaces):
+        subspaces.append(kernel_of_rows_raw(
+            f, Blocks(rows for _, rows in blocks), system.dims[n], canonical))
+        rows = [{} for _ in range(system.dims[n - 1])]
+        sign = f.one
+        for face in faces:
+            for acc, frow in zip(rows, face.rows):
+                f.axpy_row(acc, frow, sign)
+            sign = f.neg(sign)
+        boundaries.append(Matrix(f, system.dims[n - 1], system.dims[n], rows))
+    return ThetaComplex(system, subspaces, boundaries)
 
 
 class ThetaComplex:
-    """The computed maximal subcomplex with its boundary structure."""
+    """The computed maximal subcomplex with its boundary structure:
+    ``boundaries[n]`` is the ambient boundary d_n, the alternating sum of
+    the reference faces (d_0 the zero map), which every reader of the
+    boundary takes from here."""
 
-    def __init__(self, system: LambdaSystem, subspaces: list[Subspace]):
+    def __init__(self, system: LambdaSystem, subspaces: list[Subspace],
+                 boundaries: list[Matrix]):
         self.system = system
         self.subspaces = subspaces
+        self.boundaries = boundaries
         self._ranks: list[int] | None = None
 
     @property
@@ -288,7 +278,7 @@ class ThetaComplex:
         coefficients.  A row is the basis row times the transpose of the
         boundary's rows at those pivots, keyed by ambient column.
         """
-        bnd = self.system.boundary_matrix(n)
+        bnd = self.boundaries[n]
         keep = set(self.subspaces[n - 1].pivots)
         picked = [r if p in keep else {} for p, r in enumerate(bnd.rows)]
         at_pivots = Matrix(bnd.field, bnd.nrows, bnd.ncols, picked)
@@ -301,9 +291,9 @@ class ThetaComplex:
         A zero product certifies the degree; otherwise the first nonzero
         row of basis . square^T names the basis row it does not kill.
         """
-        bnd = self.system.boundary_matrix
+        bnd = self.boundaries
         for n in range(2, self.max_degree + 1) if n is None else range(max(n, 2), n + 1):
-            square = bnd(n - 1).mul(bnd(n))
+            square = bnd[n - 1].mul(bnd[n])
             if not square.is_zero():
                 _fail_at_first(_images(square, self.subspaces[n].basis.rows),
                                "boundary does not square to zero", n)
@@ -509,8 +499,7 @@ def check_lambda_morphism(mor: LambdaMorphism) -> dict:
     For each degree, position, and target candidate the first source
     candidate achieving matrix equality is recorded; failures list target
     candidates with no match, and the check stops at the fifth.  Every face
-    is built for the comparison and dropped, the reference ones included,
-    so that none is held once the check is done.
+    is built for the comparison and dropped with its position.
     """
     assignments = []
     failures = []
@@ -520,12 +509,12 @@ def check_lambda_morphism(mor: LambdaMorphism) -> dict:
         for i in range(n + 1):
             rhs_cache = {}
             for alpha in mor.target.labels[(n, i)]:
-                lhs = mor.target._build_face(n, i, alpha).mul(f_n)
+                lhs = mor.target.face_matrix(n, i, alpha).mul(f_n)
                 found = None
                 for beta in mor.source.labels[(n, i)]:
                     rhs = rhs_cache.get(beta)
                     if rhs is None:
-                        rhs = f_prev.mul(mor.source._build_face(n, i, beta))
+                        rhs = f_prev.mul(mor.source.face_matrix(n, i, beta))
                         rhs_cache[beta] = rhs
                     if lhs == rhs:
                         found = beta
@@ -603,8 +592,8 @@ def induced_theta_map(mor: LambdaMorphism, theta_src: ThetaComplex,
                        "morphism image escapes the target subcomplex", n)
         if n:
             via_src = _images(mor.matrices[n - 1],
-                              _images(theta_src.system.boundary_matrix(n), basis))
-            via_tgt = _images(theta_tgt.system.boundary_matrix(n), img)
+                              _images(theta_src.boundaries[n], basis))
+            via_tgt = _images(theta_tgt.boundaries[n], img)
             _fail_at_first(map(ne, via_src, via_tgt),
                            "morphism does not commute with the boundary", n)
     img = via_src = via_tgt = None     # not held through the ranks
@@ -651,9 +640,9 @@ def maximality_probe(theta: ThetaComplex) -> dict:
     """
     system = theta.system
     report = {"degrees": [], "recomputation_identical": None}
-    for n in range(1, system.max_degree + 1):
+    for n, _, blocks in _degrees(system, theta.subspaces):
         first: dict = {}
-        for reason, rows in _condition_blocks(system, n, theta.subspaces[n - 1]):
+        for reason, rows in blocks:
             for row in rows:
                 for c in row:
                     first.setdefault(c, reason)

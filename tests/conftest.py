@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import settings
 
 from lambda_homology.algebras import (
     Bimodule,
@@ -25,6 +26,13 @@ from lambda_homology.systems import LambdaSystem
 
 from oracles import columns
 
+# Hypothesis's default 200 ms deadline measures the host, not the code: on
+# a loaded 2-core machine it failed a property test that passes in time
+# elsewhere.  Examples, strategies and assertions stay as each test sets
+# them.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
+
 
 @pytest.fixture(scope="session")
 def q():
@@ -40,6 +48,18 @@ def ground(q):
 def dual(q):
     """k[x]/(x^2), basis 1, x."""
     return truncated_polynomial_algebra(q, 2)
+
+
+@pytest.fixture(scope="session")
+def cubic(q):
+    """k[x]/(x^3), basis 1, x, x^2."""
+    return truncated_polynomial_algebra(q, 3)
+
+
+@pytest.fixture(scope="session")
+def cyclic3(q):
+    """The group algebra of Z/3."""
+    return group_algebra(q, cyclic_group_table(3))
 
 
 @pytest.fixture(scope="session")
@@ -198,6 +218,22 @@ def trivial_system(field, dims, faces, label=""):
     """A system with one candidate per face position, ``faces[(n, i)]``."""
     return candidate_system(field, dims, {pos: [m] for pos, m in faces.items()},
                             label=label)
+
+
+def boundaries_of(system):
+    """The ambient boundaries d_0..d_N of a system, each the alternating
+    sum of its reference faces (d_0 the zero map), as ``compute_theta``
+    hands them to a ``ThetaComplex``."""
+    f = system.field
+    out = [Matrix(f, 0, system.dims[0], [])]
+    for n in range(1, system.max_degree + 1):
+        rows = [{} for _ in range(system.dims[n - 1])]
+        for i in range(n + 1):
+            sign = f.one if i % 2 == 0 else f.neg(f.one)
+            for acc, row in zip(rows, system.face_matrix(n, i).rows):
+                f.axpy_row(acc, row, sign)
+        out.append(Matrix(f, system.dims[n - 1], system.dims[n], rows))
+    return out
 
 
 def symmetric_group_table(n):

@@ -196,6 +196,53 @@ def test_index_cap_stops_before_enumerating(tmp_path, construction, degree,
     assert peak_kib < 60 * 1024
 
 
+# The same under a 1 GiB address-space and a 30 s CPU limit on the CLI,
+# printing its CPU seconds too, so that a runaway fails the test instead of
+# exhausting the host.
+SPAWN_CAPPED = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+pid = os.posix_spawn(sys.executable,
+                     [sys.executable, "-m", "lambda_homology", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss,
+      usage.ru_utime + usage.ru_stime, file=sys.stderr)
+"""
+
+Z2 = {"builtin": "group_algebra", "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("construction, extra, message, first_over", [
+    ("hochschild", {}, "ambient dimension exceeds cap", 17),
+    ("higher_hochschild", {}, "ambient dimension exceeds cap", 17),
+    ("secondary", {"second_algebra": {"builtin": "ground_field"},
+                   "epsilon": "unit"}, "candidate set exceeds cap", 9),
+    ("sphere2", {}, "candidate set exceeds cap", 7),
+], ids=["hochschild", "higher_hochschild", "secondary", "sphere2"])
+def test_mistyped_max_degree_stops_at_the_first_degree_over_a_cap(
+        tmp_path, construction, extra, message, first_over):
+    """A max degree of 2000 over Z/2: each builder makes its degrees (and
+    the builtin circle and sphere2 their levels) one at a time and stops at
+    the first over a cap, with the error a max degree of 20 gives, so the
+    run exits 2 in under 2 s of CPU and 60 MB."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "construction": construction, "algebra": Z2, "max_degree": 2000, **extra,
+    }))
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", SPAWN_CAPPED, "homology", str(spec)],
+        capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=60)
+    code, peak_kib, cpu_s = r.stderr.split()[-3:]
+    assert int(code) == 2, r.stdout + r.stderr
+    body = json.loads(r.stdout)
+    assert body["message"] == message
+    assert body["details"]["degree"] == first_over
+    assert float(cpu_s) < 2 and int(peak_kib) < 60 * 1024
+
+
 def measure_s3_circle_four(tmp_path, command, *flags):
     """``command`` on S3 on circle(4) over F_2147483629, spawned and
     measured: the finished run, which exited 0, and its peak RSS in KiB."""

@@ -15,6 +15,7 @@ from lambda_homology.algebras import (
 )
 from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import (
+    circle_top,
     compare_systems,
     corner_chain_map,
     higher_hochschild_system,
@@ -31,11 +32,11 @@ from lambda_homology.constructions import (
 from lambda_homology.errors import ResourceCapError, ValidationError
 from lambda_homology.fields import Rationals
 from lambda_homology.linalg import Matrix
-from lambda_homology.simplicial import circle, simplicial_from_json
+from lambda_homology.simplicial import circle, simplicial_from_json, sphere2
 from lambda_homology.systems import compute_theta
 
-from conftest import matrix_of, trivial_system
-from oracles import boundary_triangle
+from conftest import dense_table_of, matrix_of, trivial_system
+from oracles import boundary_triangle, hochschild_betti_dense
 
 Q = Rationals()
 
@@ -119,14 +120,18 @@ def test_loday_chain_requires_commutative(upper, circle4):
 
 @pytest.mark.parametrize("algebra, betti", [
     ("dual", {"circle": [2, 1], "boundary_triangle": [2, 1], "classical": [2, 1]}),
+    ("cubic", {"circle": [3, 2], "boundary_triangle": [3, 2], "classical": [3, 2]}),
+    ("cyclic3", {"circle": [3, 0], "boundary_triangle": [3, 0], "classical": [3, 0]}),
     ("upper", {"circle": [3, 0], "boundary_triangle": [2, 1], "classical": [2, 0]}),
-], ids=["dual", "upper"])
+], ids=["dual", "cubic", "cyclic3", "upper"])
 def test_theta_homology_depends_on_the_model_of_the_circle(request, algebra, betti):
     """``circle`` and dDelta^2 are two simplicial models of the circle.  For
-    a commutative algebra higher Hochschild homology depends only on the
-    homotopy type (Pirashvili 2000), and the two models and the classical
-    system agree; for the upper-triangular algebra all three differ, so
-    theta-homology is not a homotopy invariant."""
+    a commutative algebra (k[x]/(x^2), k[x]/(x^3), the group algebra of
+    Z/3) higher Hochschild homology depends only on the homotopy type
+    (Pirashvili 2000), and the two models and the classical system agree;
+    for the upper-triangular algebra all three differ, so theta-homology
+    is not a homotopy invariant.  The classical table is also the dense
+    oracle's."""
     a = request.getfixturevalue(algebra)
     m = Bimodule.regular(a)
     x = simplicial_from_json(boundary_triangle(2))
@@ -137,6 +142,7 @@ def test_theta_homology_depends_on_the_model_of_the_circle(request, algebra, bet
         "classical": compute_theta(hochschild_system(a, m, 2)),
     }
     assert {name: theta.betti() for name, theta in thetas.items()} == betti
+    assert hochschild_betti_dense(dense_table_of(a), a.dim, 2) == betti["classical"]
     if algebra == "upper":
         assert thetas["boundary_triangle"].dims() == [27, 591, 14815]
 
@@ -405,3 +411,33 @@ def test_index_cap(dual, circle4):
     sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle4)
     with pytest.raises(ResourceCapError):
         compute_theta(sys_, caps=caps)
+
+
+def _outcome(build):
+    """A built system's shape, or the cap error its builder raised."""
+    try:
+        sys_ = build()
+    except ResourceCapError as err:
+        return err.message, err.details
+    return sys_.dims, {key: len(labs) for key, labs in sys_.labels.items()}
+
+
+@pytest.mark.parametrize("cap_dim, cap_index", [
+    (200_000, 720), (64, 720), (10**6, 24), (2, 1)])
+@pytest.mark.parametrize("algebra", ["ground", "dual", "m2"])
+def test_builtin_sets_stop_where_their_systems_refuse(request, algebra,
+                                                     cap_dim, cap_index):
+    """The builtin circle and sphere are built no higher than the first
+    level where a system over them refuses a cap (``circle_top`` and
+    ``sphere2_system``), so the system over the lowered set either refuses
+    with the error of the system over the whole set or is that system."""
+    a = request.getfixturevalue(algebra)
+    m = Bimodule.regular(a)
+    caps = ResourceCaps(cap_dim, cap_index)
+    for level in range(1, 10):
+        top = circle_top(a, m, level, caps)
+        assert _outcome(lambda: higher_hochschild_system(a, m, circle(top), caps)) \
+            == _outcome(lambda: higher_hochschild_system(a, m, circle(level), caps))
+    for level in range(1, 9):
+        assert _outcome(lambda: sphere2_system(a, m, level, caps)) == _outcome(
+            lambda: higher_hochschild_system(a, m, sphere2(level), caps))

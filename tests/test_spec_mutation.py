@@ -7,13 +7,16 @@ inner algebra of the Morita comparison) through its ``verify`` command,
 once for every value inside it replaced by each of ``REPLACEMENTS``: a
 value of every JSON type, and the integers that sit just outside most
 ranges.  Whatever the corruption, the command must answer with exit code
-0, 1 or 2.
+0, 1 or 2.  A Hypothesis test then corrupts two or three values of one
+file at once, with nested lists and dicts and large integers among the
+new values, under small caps.
 """
 
 import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambda_homology import cli
 
@@ -145,3 +148,92 @@ def test_corrupted_verify_input_gives_an_exit_code(kind, tmp_path):
     argv = [str(files.get(a, a)) for a in command]
     argv += ["--out", str(tmp_path / "report.json")]
     assert_exit_codes(kind, doc, files["FILE"], argv)
+
+
+# ---------------------------------------------------------------------------
+# several values at once
+# ---------------------------------------------------------------------------
+
+SMALL_CAPS = ["--cap-dim", "64", "--cap-index", "24"]
+
+LEAVES = st.one_of(
+    st.sampled_from(REPLACEMENTS + (1, 2, 3, 2000, 10**6, "1", "-1", "0")),
+    st.integers(-2, 6),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["a", "dim", "builtin", "max_level", "table", "label"]),
+        inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def mutated(doc, changes):
+    """``doc`` with each ``(path, value)`` applied in turn, except one that
+    lies inside a value an earlier change replaced."""
+    out = copy.deepcopy(doc)
+    done = []
+    for path, value in changes:
+        if any(path[:len(p)] == p for p in done):
+            continue
+        target = out
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        done.append(path)
+    return out
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def assert_exit_code_under_changes(data, doc, doc_path, argv):
+    """``argv`` answers ``doc`` with two or three values replaced with an
+    exit code, never an exception.  A new value is drawn from ``VALUES`` or
+    is one found elsewhere in the file, so that some changed files stay
+    well formed and reach the computation."""
+    paths = sorted(positions(doc))
+    values = st.one_of(VALUES, st.sampled_from(
+        [mutated(doc, [])] + [value_at(doc, path) for path in paths]))
+    chosen = data.draw(st.lists(st.sampled_from(paths), min_size=2, max_size=3,
+                                unique=True))
+    changes = [(path, data.draw(values)) for path in chosen]
+    doc_path.write_text(json.dumps(mutated(doc, changes)))
+    try:
+        code = cli.main(argv + SMALL_CAPS)
+    except Exception as exc:
+        pytest.fail(f"{changes!r} raised {exc!r}")
+    assert code in (0, 1, 2), changes
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_specs_with_several_corrupted_values_give_an_exit_code(
+        kind, tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    spec_path = root / f"several-{kind}.json"
+    argv = ["homology", str(spec_path), "--out", str(root / "several-report.json")]
+    assert_exit_code_under_changes(data, SPECS[kind], spec_path, argv)
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_INPUTS))
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_verify_inputs_with_several_corrupted_values_give_an_exit_code(
+        kind, tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    files = {"FILE": root / f"several-{kind}.json",
+             "ALGEBRA": root / "several-algebra.json",
+             "SPEC": root / "several-spec.json"}
+    files["ALGEBRA"].write_text(json.dumps(DUAL))
+    files["SPEC"].write_text(json.dumps(
+        {"construction": "hochschild", "algebra": DUAL, "max_degree": 1}))
+    doc, command = VERIFY_INPUTS[kind]
+    argv = [str(files.get(a, a)) for a in command]
+    argv += ["--out", str(root / "several-report.json")]
+    assert_exit_code_under_changes(data, doc, files["FILE"], argv)

@@ -15,6 +15,7 @@ from lambda_homology.algebras import (
 )
 from lambda_homology.config import ResourceCaps
 from lambda_homology.constructions import (
+    compare_systems,
     higher_hochschild_system,
     hochschild_system,
     sphere2_system,
@@ -26,6 +27,7 @@ from lambda_homology.simplicial import circle
 from lambda_homology import linalg, systems
 from lambda_homology.systems import (
     LambdaMorphism,
+    LambdaSystem,
     ThetaComplex,
     check_lambda_morphism,
     compute_theta,
@@ -36,6 +38,7 @@ from lambda_homology.systems import (
 )
 
 from conftest import (
+    boundaries_of,
     candidate_system,
     dense_matrix,
     dense_span,
@@ -227,7 +230,7 @@ def _broken_square_theta(top_basis):
     sys_ = trivial_system(Q, (1, 1, 2, 3), faces)
     subspaces = [Subspace.full(Q, 1), Subspace.full(Q, 1), Subspace.full(Q, 2),
                  Subspace.from_vectors(Q, 3, top_basis)]
-    return ThetaComplex(sys_, subspaces)
+    return ThetaComplex(sys_, subspaces, boundaries_of(sys_))
 
 
 def test_boundary_square_failure_names_degree_and_basis_row():
@@ -314,24 +317,64 @@ def test_canonical_theta_emits_its_bases_without_eliminating(name, field, monkey
     assert canonical.homology() == default.homology()
 
 
-def test_each_boundary_is_built_once_and_squared_in_any_degree(dual):
-    """A system keeps each boundary it builds, for the homology ranks, the
-    square check and the induced maps alike; ``compute_theta`` builds them
-    all and comes back holding no reference face, and a face asked for
-    later is built again.  The square check runs in any one degree, the
-    lowest included."""
-    sys_ = hochschild_system(dual, Bimodule.regular(dual), 3)
+def test_each_reference_face_is_built_once_per_degree(dual, monkeypatch):
+    """``compute_theta`` builds each reference face once, for its own
+    degree's conditions, the next degree's identity rows and its boundary
+    alike, and keeps the boundaries, which equal the alternating sums of
+    the faces.  Its readers (the ranks, the square check in any one degree,
+    the lowest included, the images and the induced maps) read those
+    boundary objects and build no face."""
+    sys_ = higher_hochschild_system(dual, Bimodule.regular(dual), circle(3))
+    built = []
+    face_matrix = LambdaSystem.face_matrix
+    monkeypatch.setattr(LambdaSystem, "face_matrix", lambda self, n, i, lab=None:
+                        built.append((n, i, lab)) or face_matrix(self, n, i, lab))
     theta = compute_theta(sys_)
-    assert not sys_._ref_cache and sorted(sys_._boundary_cache) == [1, 2, 3]
-    assert sys_.face_matrix(2, 1) == sys_._build_face(2, 1, sys_.labels[(2, 1)][0])
-    assert theta.check_boundary_squares_to_zero(2) is None
-    assert theta.check_boundary_squares_to_zero(1) is None
-    built = [sys_.boundary_matrix(n) for n in range(1, 4)]
+    refs = sorted((n, i) for n, i, lab in built if lab is None)
+    assert refs == [(n, i) for n in range(1, 4) for i in range(n + 1)]
+    others = sorted(key for key in built if key[2] is not None)
+    assert others == sorted((n, i, lab) for (n, i), labs in sys_.labels.items()
+                            for lab in labs[1:])
+    assert theta.boundaries == boundaries_of(sys_)
+    built.clear()
+
+    class Reads(list):
+        def __getitem__(self, n):
+            read.add(n)
+            return list.__getitem__(self, n)
+
+    kept = list(theta.boundaries)
+    theta.boundaries = Reads(kept)
+    read = set()
     theta.homology()
-    theta.check_boundary_squares_to_zero()
-    theta.boundary_image_rows(3)
-    for n, bnd in enumerate(built, 1):
-        assert sys_.boundary_matrix(n) is bnd
+    assert read == {1, 2, 3}
+    for n in (1, 2, 3):
+        read = set()
+        assert theta.check_boundary_squares_to_zero(n) is None
+        assert read == ({n - 1, n} if n > 1 else set())
+    read = set()
+    induced_theta_map(LambdaMorphism.identity(sys_, sys_), theta, theta)
+    assert read == {1, 2, 3}
+    assert built == []
+    assert all(a is b for a, b in zip(theta.boundaries, kept))
+
+
+def test_systems_hold_only_their_description(dual):
+    """A system is its constructor fields and nothing else: theta, the
+    maximality probe, the comparison, the morphism certificate and the
+    induced maps leave no face, boundary or cache on it."""
+    fields = {"field", "max_degree", "dims", "labels", "column_fn", "label"}
+    m = Bimodule.regular(dual)
+    circ = higher_hochschild_system(dual, m, circle(2))
+    classical = hochschild_system(dual, m, 2)
+    assert set(vars(circ)) == set(vars(classical)) == fields
+    th_circ, th_classical = compute_theta(circ), compute_theta(classical)
+    assert maximality_probe(th_circ)["ok"]
+    assert compare_systems(circ, classical)["equal"]
+    mor = LambdaMorphism.identity(classical, circ)
+    assert check_lambda_morphism(mor)["ok"]
+    induced_theta_map(mor, th_classical, th_circ)
+    assert set(vars(circ)) == set(vars(classical)) == fields
 
 
 def _case_system(request, case):
@@ -349,7 +392,7 @@ def _case_system(request, case):
 
 def _ambient_images(theta, n):
     """B_n . d_n^T: the boundary images of theta_n's basis, ambient."""
-    bnd = theta.system.boundary_matrix(n)
+    bnd = theta.boundaries[n]
     return theta.subspaces[n].basis.mul(bnd.transpose()).rows
 
 
@@ -552,7 +595,7 @@ def test_built_faces_keep_rows_until_a_column_is_asked(upper):
     sys_ = hochschild_system(upper, Bimodule.regular(upper), 2)
     for n, i in ((1, 0), (2, 1), (2, 2)):
         lab = sys_.labels[(n, i)][0]
-        face = sys_._build_face(n, i, lab)
+        face = sys_.face_matrix(n, i, lab)
         assert not hasattr(face, "__dict__") and not hasattr(face, "column")
         cols = face.transpose().rows
         assert cols == columns(face)
