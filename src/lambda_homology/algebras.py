@@ -38,7 +38,6 @@ __all__ = [
     "named_algebra",
     "matrix_algebra",
     "matrix_bimodule",
-    "commutativity_report",
     "is_w_witness_pair",
     "is_t_witness_pair",
     "algebra_from_json",
@@ -239,13 +238,6 @@ def validate_bimodule(m: Bimodule) -> list[dict]:
         if m.act_right(mk, a.unit) != mk:
             bad.append({"kind": "unit", "basis": k, "side": "right"})
     return bad
-
-
-def commutativity_report(a: Algebra, m: Bimodule | None = None) -> dict:
-    rep = {"algebra_commutative": a.is_commutative()}
-    if m is not None:
-        rep["bimodule_symmetric"] = m.is_symmetric()
-    return rep
 
 
 def is_w_witness_pair(bim: Bimodule, e: dict, m: dict) -> bool:

@@ -98,6 +98,8 @@ def load_system(spec, base: Path, field=None, max_degree=None,
     degree = max_degree
     if degree is None and spec.get("max_degree") is not None:
         degree = spec_ints(spec["max_degree"], "max_degree")
+    if degree is None and kind in ("hochschild", "sphere2", "secondary"):
+        raise ValidationError("spec needs 'max_degree' or --max-degree")
 
     def algebra(key="algebra"):
         obj = spec.get(key)
@@ -112,8 +114,6 @@ def load_system(spec, base: Path, field=None, max_degree=None,
         return bimodule_from_json(obj, a, caps)
 
     if kind in ("hochschild", "sphere2"):
-        if degree is None:
-            raise ValidationError("spec needs 'max_degree' or --max-degree")
         a = algebra()
         m = bimodule(a)
         if kind == "hochschild":
@@ -130,8 +130,6 @@ def load_system(spec, base: Path, field=None, max_degree=None,
             return loday_chain(a, m, x, caps)
         return higher_hochschild_system(a, m, x, caps)
     if kind == "secondary":
-        if degree is None:
-            raise ValidationError("spec needs 'max_degree' or --max-degree")
         a = algebra()
         b = algebra("second_algebra")
         eps_obj = spec.get("epsilon", "unit")

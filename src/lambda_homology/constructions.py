@@ -23,7 +23,6 @@ from .algebras import (
     Algebra,
     AlgebraMorphism,
     Bimodule,
-    commutativity_report,
     is_t_witness_pair,
     is_w_witness_pair,
     matrix_algebra,
@@ -405,10 +404,9 @@ def loday_chain(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
     fiber products are well defined; the faces equal the reference faces of
     the full system, whose identity orderings are its single candidates.
     """
-    rep = commutativity_report(a, m)
-    if not rep["algebra_commutative"]:
+    if not a.is_commutative():
         raise ValidationError("commutative chain needs a commutative algebra")
-    if not rep["bimodule_symmetric"]:
+    if not m.is_symmetric():
         raise ValidationError("commutative chain needs a symmetric bimodule")
     dims, labels, column_fn = _simplicial_engine(a, m, x, caps, orderings=False)
     tag = f"commutative({a.label or 'A'},{m.label or 'M'},{x.label or 'X'})"
@@ -591,13 +589,15 @@ def _boundary_parity_report(system: LambdaSystem, vectors: list[dict]) -> dict:
 
 
 def _witness_report(kind: str, system: LambdaSystem, vectors: list[dict],
-                    theta_system_of, n_theta: int | None, caps) -> dict:
+                    n_theta: int | None, caps) -> dict:
     """Transport, span validation, membership, and boundary parity for one
     witness vector per degree of ``system``.
 
-    Membership is checked directly up to ``n_theta`` (default: the top
-    degree) in the computed subspace of ``theta_system_of(n_theta)``, the
-    system truncated there; it is built only after the span is validated.
+    ``system`` is built with its ambients uncapped (``_applied_only``), as
+    these checks only apply its faces.  Membership is checked directly up
+    to ``n_theta`` (default: the top degree) in the theta of
+    ``system.truncate(n_theta)``, which ``compute_theta`` holds to ``caps``
+    once the span is validated.
     """
     if n_theta is None:
         n_theta = system.max_degree
@@ -609,7 +609,7 @@ def _witness_report(kind: str, system: LambdaSystem, vectors: list[dict],
     spans = [Subspace.from_vectors(system.field, system.dims[n], [v])
              for n, v in enumerate(vectors)]
     sub_report = validate_subcomplex(system, spans)
-    theta = compute_theta(theta_system_of(n_theta), caps)
+    theta = compute_theta(system.truncate(n_theta), caps)
     membership = [
         {"n": n, "in_theta": theta.subspaces[n].contains(vectors[n])}
         for n in range(n_theta + 1)
@@ -637,8 +637,7 @@ def witness_w_suite(a: Algebra, m: Bimodule, x: PointedSimplicialSet,
     vectors = [w_witness_vector(m, x, e, mvec, n) for n in range(x.max_level + 1)]
     return _witness_report(
         "module_idempotent", higher_hochschild_system(a, m, x, _applied_only(caps)),
-        vectors, lambda n: higher_hochschild_system(a, m, x.truncate(n), caps),
-        theta_degree, caps,
+        vectors, theta_degree, caps,
     )
 
 
@@ -661,7 +660,7 @@ def witness_t_suite(a: Algebra, b: Algebra, eps: AlgebraMorphism,
     report = _witness_report(
         "paired_idempotents",
         secondary_system(a, b, eps, max_degree, _applied_only(caps)), vectors,
-        lambda n: secondary_system(a, b, eps, n, caps), theta_degree, caps,
+        theta_degree, caps,
     )
     report["membership_above_direct_check"] = "certified by subcomplex containment"
     return report
@@ -699,17 +698,18 @@ def morita_report(a: Algebra, m: Bimodule, size: int, max_degree: int,
     extension; (4) the computed subcomplex of the circle system of the
     matrix extension.  Alongside: certificates for the corner embedding and
     the identity comparison map, their induced maps on homology, and the
-    matrix identity composite = identity_after_corner.
+    matrix identity composite = identity_after_corner.  The circle is built
+    up to ``circle_top`` of the extension only, as ``homology`` builds a
+    builtin circle, so a builder stops at the first degree over a cap.
     """
-    rep = commutativity_report(a, m)
-    if not rep["algebra_commutative"] or not rep["bimodule_symmetric"]:
+    if not (a.is_commutative() and m.is_symmetric()):
         raise ValidationError(
             "matrix comparison needs a commutative algebra and symmetric bimodule"
         )
     field = a.field
     big, corner_emb = matrix_algebra(a, size, caps)
     bigmod, corner_mod = matrix_bimodule(big, m, size)
-    circ = circle(max_degree)
+    circ = circle(circle_top(big, bigmod, max_degree, caps))
 
     sys_small_circle = higher_hochschild_system(a, m, circ, caps)
     sys_small_classical = hochschild_system(a, m, max_degree, caps)
@@ -809,15 +809,14 @@ def compare_systems(left: LambdaSystem, right: LambdaSystem,
         "index_sizes_left": index_sizes(left),
         "index_sizes_right": index_sizes(right),
     }
-    if left.dims[: depth + 1] != right.dims[: depth + 1]:
-        for n in range(depth + 1):
-            if left.dims[n] != right.dims[n]:
-                report["equal"] = False
-                report["first_difference"] = {
-                    "kind": "dimension", "degree": n,
-                    "left": left.dims[n], "right": right.dims[n],
-                }
-                return report
+    for n in range(depth + 1):
+        if left.dims[n] != right.dims[n]:
+            report["equal"] = False
+            report["first_difference"] = {
+                "kind": "dimension", "degree": n,
+                "left": left.dims[n], "right": right.dims[n],
+            }
+            return report
     for n in range(1, depth + 1):
         for i in range(n + 1):
             if left.face_matrix(n, i) != right.face_matrix(n, i):

@@ -420,13 +420,6 @@ class Subspace:
             )
         return self._canon
 
-    @classmethod
-    def full(cls, field, ambient_dim: int) -> "Subspace":
-        one = field.one
-        rows = [{i: one} for i in range(ambient_dim)]
-        return cls.from_pivot_basis(field, ambient_dim, rows, tuple(range(ambient_dim)),
-                                    canonical=True)
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -579,15 +572,16 @@ def kernel_of_rows_raw(field, rows, ncols: int, canonical: bool = False) -> Subs
     (``rref``'s ``last``), so basis row f is nonzero only at f and at pivot
     columns right of f: that is the reduced echelon basis, which is unique,
     and the result comes marked so that ``canonicalize()`` returns it as it
-    is.  As with ``rref``, the rows are a list or ``Blocks``, the caller
-    hands the row dicts over and their entries must be the field's own
+    is.  Rows that leave no pivot, none at all included, give the whole
+    space: the identity basis, marked canonical either way.  As with
+    ``rref``, the rows are a list or ``Blocks``, the caller hands the row
+    dicts over and their entries must be the field's own
     scalars.  A row that reduces to zero or becomes a pivot row comes back
     cleared, the pivot rows once the kernel has been read off them.
     """
     rr, pivots = rref(field, rows, ncols, full=True, last=canonical)
-    if not pivots:
-        return Subspace.full(field, ncols)
     krows = kernel_rows_from_rref(field, rr, pivots, ncols)
     pivset = set(pivots)
     free = tuple(c for c in range(ncols) if c not in pivset)
-    return Subspace.from_pivot_basis(field, ncols, krows, free, canonical)
+    return Subspace.from_pivot_basis(field, ncols, krows, free,
+                                     canonical or not pivots)

@@ -140,6 +140,14 @@ class LambdaSystem:
             sign = f.neg(sign)
         return out
 
+    def truncate(self, max_degree: int) -> "LambdaSystem":
+        """The system on degrees 0..max_degree, with their dims and
+        candidates and this system's ``column_fn``, whose compiled recipes
+        and product tables it shares."""
+        labels = {k: labs for k, labs in self.labels.items() if k[0] <= max_degree}
+        return LambdaSystem(self.field, max_degree, self.dims[:max_degree + 1],
+                            labels, self.column_fn, self.label)
+
     def check_caps(self, caps=DEFAULT_CAPS) -> None:
         for n, d in enumerate(self.dims):
             caps.check_ambient_dim(n, d)
@@ -159,7 +167,8 @@ class LambdaSystem:
 def _degrees(system: LambdaSystem, subspaces: list[Subspace]):
     """Yield ``(n, faces, blocks)`` for each degree n >= 1: its reference
     faces d_0..d_n and its condition blocks relative to ``subspaces[n-1]``,
-    read when the blocks are first asked for.
+    read when ``_degrees`` resumes to yield degree n: the caller appends
+    each degree's subspace before it asks for the next.
 
     Each degree's reference faces are built once, here, and reach its own
     blocks and the next degree's identity rows; the degree after that no
@@ -217,19 +226,22 @@ def compute_theta(system: LambdaSystem, caps=DEFAULT_CAPS,
                   canonical: bool = False) -> "ThetaComplex":
     """The unique maximal subcomplex, degree by degree.
 
-    Degree 0 is the full space.  Each higher degree is the kernel of the
-    agreement/closure/identity rows relative to the degree below, their
-    blocks eliminated as ``_condition_blocks`` yields them.  Each kernel's
+    The system is checked against ``caps`` first.  Each degree is the
+    kernel of the agreement/closure/identity rows relative to the degree
+    below (degree 0 has none), their blocks eliminated as
+    ``_condition_blocks`` yields them.  Each kernel's
     basis is the one its elimination reads off (``kernel_of_rows_raw``):
     with ``canonical``, for a caller that emits the bases, already the
     reduced echelon basis; otherwise the kernel-shaped one, which is
-    sparser to rank and canonicalized only if asked.  Once degree n's
+    sparser to rank and canonicalized only if asked.  A degree with no
+    conditions is the whole space, its identity basis marked canonical
+    either way, so emitting it eliminates nothing.  Once degree n's
     kernel is found, its reference faces are summed into its boundary,
     which the complex keeps; the faces are dropped with the next degree.
     """
     system.check_caps(caps)
     f = system.field
-    subspaces = [Subspace.full(f, system.dims[0])]
+    subspaces = [kernel_of_rows_raw(f, [], system.dims[0])]
     boundaries = [Matrix(f, 0, system.dims[0], [])]
     for n, faces, blocks in _degrees(system, subspaces):
         subspaces.append(kernel_of_rows_raw(
@@ -357,9 +369,6 @@ class ThetaComplex:
             "valid_up_to": n_max - 1,
             "entries": entries,
         }
-
-    def betti(self) -> list[int]:
-        return [e["betti"] for e in self.homology()["entries"]]
 
     def to_json(self, emit_bases: bool = False) -> dict:
         """The dims, and with ``emit_bases`` each degree's canonical basis,

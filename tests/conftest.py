@@ -20,7 +20,7 @@ from lambda_homology.algebras import (
     upper_triangular_2x2,
 )
 from lambda_homology.fields import Rationals
-from lambda_homology.linalg import Matrix
+from lambda_homology.linalg import Matrix, kernel_of_rows_raw
 from lambda_homology.simplicial import PointedSimplicialSet, circle
 from lambda_homology.systems import LambdaSystem
 
@@ -218,6 +218,17 @@ def trivial_system(field, dims, faces, label=""):
     """A system with one candidate per face position, ``faces[(n, i)]``."""
     return candidate_system(field, dims, {pos: [m] for pos, m in faces.items()},
                             label=label)
+
+
+def full_space(field, dim):
+    """The whole space as ``compute_theta`` makes it: the kernel of no rows,
+    with the identity basis."""
+    return kernel_of_rows_raw(field, [], dim)
+
+
+def betti_of(theta):
+    """The betti numbers of a ``ThetaComplex``, read off ``homology()``."""
+    return [e["betti"] for e in theta.homology()["entries"]]
 
 
 def boundaries_of(system):

@@ -10,7 +10,6 @@ from lambda_homology.algebras import (
     Bimodule,
     algebra_from_json,
     bimodule_from_json,
-    commutativity_report,
     ground_field_algebra,
     group_algebra,
     is_t_witness_pair,
@@ -64,8 +63,7 @@ def test_commutativity(q, dual, upper, m2):
     assert dual.is_commutative()
     assert not upper.is_commutative()
     assert not m2.is_commutative()
-    rep = commutativity_report(dual, Bimodule.regular(dual))
-    assert rep == {"algebra_commutative": True, "bimodule_symmetric": True}
+    assert Bimodule.regular(dual).is_symmetric()
 
 
 def test_unit_is_checked():

@@ -243,6 +243,70 @@ def test_mistyped_max_degree_stops_at_the_first_degree_over_a_cap(
     assert float(cpu_s) < 2 and int(peak_kib) < 60 * 1024
 
 
+DUAL = {"builtin": "truncated_polynomial", "order": 2}
+
+
+def test_mistyped_morita_max_degree_stops_at_the_first_degree_over_a_cap(tmp_path):
+    """``verify morita`` builds its circle only up to the first level whose
+    matrix-level system is over a cap, as ``homology`` does, so a max
+    degree of 2000 on k[x]/(x^2) exits 2 with the error a max degree of 20
+    gives, in under 2 s of CPU and 60 MB."""
+    algebra = tmp_path / "dual.json"
+    algebra.write_text(json.dumps(DUAL))
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    outputs = []
+    for degree in ("2000", "20"):
+        r = subprocess.run(
+            [sys.executable, "-S", "-c", SPAWN_CAPPED, "verify", "morita",
+             "--algebra", str(algebra), "--max-degree", degree],
+            capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=60)
+        code, peak_kib, cpu_s = r.stderr.split()[-3:]
+        assert int(code) == 2, r.stdout + r.stderr
+        assert float(cpu_s) < 2 and int(peak_kib) < 60 * 1024
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]
+    body = json.loads(outputs[0])
+    assert body["message"] == "ambient dimension exceeds cap"
+    assert body["details"] == {"cap": 200000, "degree": 17, "dim": 262144}
+
+
+# The whole stdout of ``verify`` runs that stop at a cap: the witness
+# suites' theta is checked against the caps on the suite's own system, and
+# the Morita circle is lowered to the matrix-level system's first level
+# over a cap, without changing which error a run ends in.
+OVER_CAP_RUNS = {
+    "witness-t-theta3": (
+        ["verify", "witness", "--kind", "t", "--max-degree", "3",
+         "--theta-degree", "3"],
+        "ambient dimension exceeds cap", {"cap": 200000, "degree": 3, "dim": 1048576}),
+    "witness-w-9": (
+        ["verify", "witness", "--kind", "w", "--max-degree", "9"],
+        "ambient dimension exceeds cap", {"cap": 200000, "degree": 8, "dim": 262144}),
+    "witness-w-cap-index": (
+        ["verify", "witness", "--kind", "w", "--max-degree", "3", "--cap-index", "1"],
+        "candidate set exceeds cap", {"cap": 1, "degree": 1, "position": 0, "size": 2}),
+    "morita-dual-7": (
+        ["verify", "morita", "--algebra", "DUAL", "--max-degree", "7"],
+        "ambient dimension exceeds cap", {"cap": 200000, "degree": 5, "dim": 262144}),
+    "morita-dual-cap-index": (
+        ["verify", "morita", "--algebra", "DUAL", "--max-degree", "20",
+         "--cap-index", "1"],
+        "candidate set exceeds cap", {"cap": 1, "degree": 1, "position": 0, "size": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP_RUNS))
+def test_verify_over_a_cap_prints_the_first_cap_error(tmp_path, case):
+    argv, message, details = OVER_CAP_RUNS[case]
+    algebra = tmp_path / "dual.json"
+    algebra.write_text(json.dumps(DUAL))
+    r = run_cli([str(algebra) if a == "DUAL" else a for a in argv])
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == json.dumps(
+        {"details": details, "error": "ResourceCapError", "message": message},
+        sort_keys=True, indent=2) + "\n"
+
+
 def measure_s3_circle_four(tmp_path, command, *flags):
     """``command`` on S3 on circle(4) over F_2147483629, spawned and
     measured: the finished run, which exited 0, and its peak RSS in KiB."""

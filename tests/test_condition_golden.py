@@ -31,11 +31,10 @@ from lambda_homology.algebras import (
 )
 from lambda_homology.constructions import higher_hochschild_system, hochschild_system
 from lambda_homology.fields import RATIONALS, PrimeField
-from lambda_homology.linalg import Subspace
 from lambda_homology.simplicial import circle
 from lambda_homology.systems import compute_theta, maximality_probe, validate_subcomplex
 
-from conftest import matrix_of, symmetric_group_table, trivial_system
+from conftest import full_space, matrix_of, symmetric_group_table, trivial_system
 
 FIELDS = {"Q": RATIONALS, "F7": PrimeField(7)}
 OUTPUTS = ("theta", "full", "full_top", "probe")
@@ -82,7 +81,7 @@ def build(case):
 def outputs(system) -> dict:
     f = system.field
     theta = compute_theta(system)
-    full = [Subspace.full(f, d) for d in system.dims]
+    full = [full_space(f, d) for d in system.dims]
     return {
         "theta": validate_subcomplex(system, theta.subspaces),
         "full": validate_subcomplex(system, full),

@@ -12,9 +12,12 @@ from lambda_homology.algebras import (
     matrix_bimodule,
     morphism_from_json,
     truncated_polynomial_algebra,
+    upper_triangular_2x2,
 )
-from lambda_homology.config import ResourceCaps
+from lambda_homology import constructions
+from lambda_homology.config import DEFAULT_CAPS, ResourceCaps
 from lambda_homology.constructions import (
+    _applied_only,
     circle_top,
     compare_systems,
     corner_chain_map,
@@ -30,12 +33,12 @@ from lambda_homology.constructions import (
     witness_w_suite,
 )
 from lambda_homology.errors import ResourceCapError, ValidationError
-from lambda_homology.fields import Rationals
+from lambda_homology.fields import PrimeField, Rationals
 from lambda_homology.linalg import Matrix
 from lambda_homology.simplicial import circle, simplicial_from_json, sphere2
 from lambda_homology.systems import compute_theta
 
-from conftest import dense_table_of, matrix_of, trivial_system
+from conftest import betti_of, dense_table_of, matrix_of, trivial_system
 from oracles import boundary_triangle, hochschild_betti_dense
 
 Q = Rationals()
@@ -141,7 +144,7 @@ def test_theta_homology_depends_on_the_model_of_the_circle(request, algebra, bet
         "boundary_triangle": compute_theta(higher_hochschild_system(a, m, x)),
         "classical": compute_theta(hochschild_system(a, m, 2)),
     }
-    assert {name: theta.betti() for name, theta in thetas.items()} == betti
+    assert {name: betti_of(theta) for name, theta in thetas.items()} == betti
     assert hochschild_betti_dense(dense_table_of(a), a.dim, 2) == betti["classical"]
     if algebra == "upper":
         assert thetas["boundary_triangle"].dims() == [27, 591, 14815]
@@ -163,7 +166,7 @@ def test_sphere2_shape_and_homology(dual):
     }
     theta = compute_theta(sys_)
     assert theta.dims() == [2, 2, 4, 16]
-    assert theta.betti() == [2, 0, 1]
+    assert betti_of(theta) == [2, 0, 1]
     theta.check_boundary_squares_to_zero()
 
 
@@ -193,7 +196,7 @@ def assert_secondary_degenerates(a):
             want = classical.face_matrix(n, i)
             for lab in sys2.labels[(n, i)]:
                 assert sys2.face_matrix(n, i, lab) == want
-    assert compute_theta(sys2).betti() == compute_theta(classical).betti()
+    assert betti_of(compute_theta(sys2)) == betti_of(compute_theta(classical))
 
 
 def test_secondary_degenerates_for_m2(m2):
@@ -273,6 +276,60 @@ def test_t_witness_suite(corner_setup):
     parity = [(e["n"], e["boundary"]) for e in suite["boundary_parity"]["entries"]]
     assert parity == [(1, "zero"), (2, "previous_witness"),
                       (3, "zero"), (4, "previous_witness")]
+
+
+def _truncation_cases(field):
+    """(system to depth 3, builder of the same system to depth k): M_2(k) on
+    the circle, and an uncapped paired system whose B-factor enters upper
+    triangular products through e_11, so its candidates disagree."""
+    m2 = matrix_algebra(ground_field_algebra(field), 2)[0]
+    m = Bimodule.regular(m2)
+    upper = upper_triangular_2x2(field)
+    k = ground_field_algebra(field)
+    e11 = AlgebraMorphism(k, upper, Matrix(field, 3, 1, [{0: field.one}, {}, {}]))
+    return [
+        (higher_hochschild_system(m2, m, circle(3)),
+         lambda n: higher_hochschild_system(m2, m, circle(3).truncate(n))),
+        (secondary_system(upper, k, e11, 3, _applied_only(DEFAULT_CAPS)),
+         lambda n: secondary_system(upper, k, e11, n)),
+    ]
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_truncated_system_has_the_theta_of_the_rebuilt_one(field):
+    """``truncate(k)`` keeps the dims and candidates of degrees <= k and
+    the same evaluator, and its theta, bases included, is the theta of the
+    system built to depth k."""
+    for system, build in _truncation_cases(field):
+        for k in range(4):
+            low, rebuilt = system.truncate(k), build(k)
+            assert low.column_fn is system.column_fn
+            assert low.dims == system.dims[:k + 1] == rebuilt.dims
+            assert low.labels == rebuilt.labels == {
+                key: labs for key, labs in system.labels.items() if key[0] <= k}
+            assert (compute_theta(low).to_json(emit_bases=True)
+                    == compute_theta(rebuilt).to_json(emit_bases=True))
+
+
+def test_each_witness_suite_builds_its_system_once(corner_setup, monkeypatch):
+    """A suite builds and validates its system once and checks membership
+    on that system truncated to the theta degree."""
+    _, big, _, bigmod, _ = corner_setup
+    e = {0: Q.one}
+    ident = AlgebraMorphism(big, big, Matrix.identity(Q, 4))
+    for name, run in (
+            ("higher_hochschild_system",
+             lambda: witness_w_suite(big, bigmod, circle(3), e, e, theta_degree=2)),
+            ("secondary_system",
+             lambda: witness_t_suite(big, big, ident, e, dict(big.unit), 3,
+                                     theta_degree=1))):
+        builds = []
+        builder = getattr(constructions, name)
+        monkeypatch.setattr(constructions, name,
+                            lambda *args: builds.append(args) or builder(*args))
+        suite = run()
+        assert len(builds) == 1
+        assert all(entry["in_theta"] for entry in suite["theta_membership"])
 
 
 def test_t_witness_vector_shape(corner_setup):

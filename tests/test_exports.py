@@ -6,6 +6,10 @@ import *`` only for the user who writes it; this test reads every module's
 The package keeps only what its commands run: a function, class or method
 that nothing in ``src/`` references, that ``__init__`` does not import and
 that the benchmark does not bind fails ``test_every_definition_is_referenced``.
+Names are matched by spelling alone, so a definition escapes that check
+when another name or attribute anywhere in ``src/`` is spelled the same: a
+``ThetaComplex.betti`` method that only tests called went unflagged because
+``cli.py`` reads ``args.betti``.
 """
 
 import ast

@@ -111,17 +111,32 @@ def test_subspace_equality_is_basis_free():
                                      vec_sparse(Q, [0, 0, -5]),
                                      vec_sparse(Q, [1, 1, 1])])
     assert u == v
-    assert u != Subspace.full(Q, 3)
+    assert u != kernel_of_rows_raw(Q, [], 3)
 
 
 def test_full_and_zero_subspaces():
-    full = Subspace.full(Q, 4)
+    full = kernel_of_rows_raw(Q, [], 4)
     zero = Subspace.from_vectors(Q, 4, [])
     assert full.dim == 4 and full.is_full
     assert zero.dim == 0
     assert full.contains(vec_sparse(Q, [1, 2, 3, 4]))
     assert zero.contains({})
     assert not zero.contains({0: Fraction(1)})
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("rows", [list, lambda: [{}, {}],
+                                  lambda: Blocks([[], [{}]])],
+                         ids=["no-rows", "zero-rows", "blocks"])
+def test_a_kernel_with_no_pivots_is_the_marked_identity(field, canonical, rows):
+    """Rows that give the elimination no pivot have the whole space as
+    kernel: its identity basis, marked canonical however it was asked for,
+    so canonicalizing it eliminates nothing."""
+    sub = kernel_of_rows_raw(field, rows(), 3, canonical)
+    assert sub.pivots == (0, 1, 2)
+    assert sub.basis.rows == [{0: field.one}, {1: field.one}, {2: field.one}]
+    assert sub.canonicalize() is sub
 
 
 def test_complement_projector_kills_exactly_the_subspace():

@@ -11,6 +11,7 @@ from lambda_homology.algebras import (
     ground_field_algebra,
     group_algebra,
     matrix_algebra,
+    truncated_polynomial_algebra,
     upper_triangular_2x2,
 )
 from lambda_homology.config import ResourceCaps
@@ -38,11 +39,13 @@ from lambda_homology.systems import (
 )
 
 from conftest import (
+    betti_of,
     boundaries_of,
     candidate_system,
     dense_matrix,
     dense_span,
     dense_table_of,
+    full_space,
     matrix_of,
     same_span,
     symmetric_group_table,
@@ -101,7 +104,7 @@ def test_toy_validate_and_probe():
     rep = validate_subcomplex(sys_, theta.subspaces)
     assert rep["valid"] and rep["violations"] == []
     # the full spaces are not a subcomplex: agreement fails in degree 1
-    full = [Subspace.full(Q, d) for d in sys_.dims]
+    full = [full_space(Q, d) for d in sys_.dims]
     rep = validate_subcomplex(sys_, full)
     assert not rep["valid"]
     assert any(v["condition"] == "agreement" for v in rep["violations"])
@@ -162,7 +165,7 @@ def test_upper_circle_matches_oracle(upper, dense_tables):
     theta, spaces = _oracle_cross_check(upper, dense_tables["upper"], 3)
     assert theta.dims() == [3, 8, 20, 48]
     bnds = {n: boundary_dense(dense_tables["upper"], 3, n) for n in (1, 2, 3)}
-    assert theta.betti() == chain_betti_dense(spaces, bnds, 3) == [3, 0, 2]
+    assert betti_of(theta) == chain_betti_dense(spaces, bnds, 3) == [3, 0, 2]
 
 
 def test_m2_circle_matches_oracle_at_low_degree(m2, dense_tables):
@@ -177,7 +180,7 @@ def test_m2_circle_frozen_values(m2):
     sys_ = higher_hochschild_system(m2, Bimodule.regular(m2), circle(3))
     theta = compute_theta(sys_)
     assert theta.dims() == [4, 13, 38, 104]
-    assert theta.betti() == [4, 0, 7]
+    assert betti_of(theta) == [4, 0, 7]
 
 
 def test_m2_circle_depth_six(m2):
@@ -186,7 +189,7 @@ def test_m2_circle_depth_six(m2):
     sys_ = higher_hochschild_system(m2, Bimodule.regular(m2), circle(6))
     theta = compute_theta(sys_)
     assert theta.dims() == [4, 13, 38, 104, 272, 688, 1696]
-    assert theta.betti() == [4, 0, 7, 0, 11, 0]
+    assert betti_of(theta) == [4, 0, 7, 0, 11, 0]
 
 
 def test_theta_of_classical_system_is_full(upper):
@@ -194,6 +197,27 @@ def test_theta_of_classical_system_is_full(upper):
     sys_ = hochschild_system(upper, Bimodule.regular(upper), 3)
     theta = compute_theta(sys_)
     assert theta.dims() == [3, 9, 27, 81]
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_condition_free_degrees_are_emitted_without_eliminating(field, monkeypatch):
+    """A classical system of a commutative algebra has no condition rows in
+    any degree, so every degree of a plain theta, degree 0 included, is the
+    kernel of no pivots: the identity basis, marked canonical.  Emitting
+    the bases then calls ``rref`` zero times."""
+    alg = truncated_polynomial_algebra(field, 2)
+    theta = compute_theta(hochschild_system(alg, Bimodule.regular(alg), 3))
+    calls = []
+    engine = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda *args, **kw: calls.append(args) or engine(*args, **kw))
+    report = theta.to_json(emit_bases=True)
+    assert calls == []
+    assert report["theta_dims"] == report["ambient_dims"] == [2, 4, 8, 16]
+    for sub, dim in zip(theta.subspaces, report["ambient_dims"]):
+        assert sub.canonicalize() is sub
+        assert sub.pivots == tuple(range(dim))
+        assert sub.basis.rows == [{c: field.one} for c in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +252,7 @@ def _broken_square_theta(top_basis):
         (3, 1): z23, (3, 2): z23, (3, 3): z23,
     }
     sys_ = trivial_system(Q, (1, 1, 2, 3), faces)
-    subspaces = [Subspace.full(Q, 1), Subspace.full(Q, 1), Subspace.full(Q, 2),
+    subspaces = [full_space(Q, 1), full_space(Q, 1), full_space(Q, 2),
                  Subspace.from_vectors(Q, 3, top_basis)]
     return ThetaComplex(sys_, subspaces, boundaries_of(sys_))
 
@@ -247,7 +271,7 @@ def test_nonzero_square_is_fine_on_a_subspace_it_kills():
     theta.check_boundary_squares_to_zero()
     rep = theta.homology()
     assert [e["rank_d_n"] for e in rep["entries"]] == [0, 0, 1]
-    assert theta.betti() == [1, 0, 1]
+    assert betti_of(theta) == [1, 0, 1]
 
 
 def test_homology_is_computed_once(dual, monkeypatch):
@@ -264,7 +288,7 @@ def test_homology_is_computed_once(dual, monkeypatch):
     second = theta.homology()
     assert len(calls) == 3
     assert "theta" not in second and second["entries"][0]["betti"] != -1
-    assert theta.betti() == [e["betti"] for e in second["entries"]]
+    assert betti_of(theta) == [e["betti"] for e in second["entries"]]
     assert len(calls) == 3
 
 
@@ -635,7 +659,7 @@ def test_induced_maps_of_identity_and_zero(request, algebra):
     a = request.getfixturevalue(algebra)
     sys_ = higher_hochschild_system(a, Bimodule.regular(a), circle(3))
     theta = compute_theta(sys_)
-    betti = theta.betti()
+    betti = betti_of(theta)
     ident = LambdaMorphism.identity(sys_, sys_)
     zero = LambdaMorphism(sys_, sys_, [Matrix.from_entries(Q, d, d, ()) for d in sys_.dims])
     for mor, expect in ((ident, betti), (zero, [0] * len(betti))):
